@@ -57,8 +57,10 @@ constexpr std::size_t kBatch = 256;
 constexpr double kSeconds = 1.5;
 
 /// Wire baseline: one blocking client cycling batches of packed
-/// headers, exactly bench_server's single-connection shape.
-double drive_wire(std::uint16_t port, std::span<const net::HeaderBits> headers) {
+/// headers, exactly bench_server's single-connection shape. Unused in
+/// sanitizer builds, which skip the timed body of main().
+[[maybe_unused]] double drive_wire(std::uint16_t port,
+                                   std::span<const net::HeaderBits> headers) {
   server::ClassifyClient client;
   if (!client.connect("127.0.0.1", port)) return 0;
   std::vector<std::uint64_t> best;
@@ -79,9 +81,9 @@ double drive_wire(std::uint16_t port, std::span<const net::HeaderBits> headers) 
 
 /// Capture rate: endless replay (loops=0) through `rings` consumer
 /// threads for the timed window, frames/sec from the loop's counters.
-double drive_capture(const net::PcapFile& file,
-                     const runtime::ShardedClassifier& classifier,
-                     const ruleset::RuleSet& rules, std::size_t rings) {
+[[maybe_unused]] double drive_capture(const net::PcapFile& file,
+                                      const runtime::ShardedClassifier& classifier,
+                                      const ruleset::RuleSet& rules, std::size_t rings) {
   capture::PcapReplayConfig pcfg;
   pcfg.rings = rings;
   pcfg.loops = 0;  // until stop()
@@ -158,7 +160,7 @@ int main() {
   // trip per batch on the wire.
   runtime::ShardedConfig rcfg;
   rcfg.shards = 1;
-  rcfg.threads = 1;
+  rcfg.core_budget = 1;
   rcfg.flow_cache_capacity = 2 * kFrames;
   runtime::ShardedClassifier classifier(rules, rcfg);
 

@@ -31,7 +31,7 @@
 #include "runtime/sharded_classifier.h"
 #include "ruleset/generator.h"
 #include "ruleset/trace.h"
-#include "util/affinity.h"
+#include "util/cores.h"
 #include "util/simd.h"
 #include "util/str.h"
 #include "util/table.h"

@@ -49,7 +49,7 @@ void BM_Engine(benchmark::State& state, const char* spec) {
 void BM_Linear(benchmark::State& state) { BM_Engine(state, "linear"); }
 void BM_StrideBV3(benchmark::State& state) { BM_Engine(state, "stridebv:3"); }
 void BM_StrideBV4(benchmark::State& state) { BM_Engine(state, "stridebv:4"); }
-void BM_StrideBVRE(benchmark::State& state) { BM_Engine(state, "stridebv-re:4"); }
+void BM_StrideBVRE(benchmark::State& state) { BM_Engine(state, "stridebv:4i"); }
 void BM_Tcam(benchmark::State& state) { BM_Engine(state, "tcam"); }
 void BM_TcamPart(benchmark::State& state) { BM_Engine(state, "tcam-part:4"); }
 void BM_HiCuts(benchmark::State& state) { BM_Engine(state, "hicuts"); }

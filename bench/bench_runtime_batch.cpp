@@ -18,7 +18,7 @@
 #include "runtime/sharded_classifier.h"
 #include "ruleset/generator.h"
 #include "ruleset/trace.h"
-#include "util/affinity.h"
+#include "util/cores.h"
 #include "util/simd.h"
 #include "util/str.h"
 #include "util/table.h"
@@ -133,25 +133,6 @@ int main() {
                    util::fmt_double(static_cast<double>(p50) / 1e3, 1),
                    util::fmt_double(static_cast<double>(p99) / 1e3, 1)});
   }
-  // Busy-poll wait policy: the latency-bench variant (spinning workers
-  // and dispatcher, no parking). Only meaningfully different from the
-  // row above when the core budget affords real lanes.
-  double sharded4_spin_rate = 0;
-  {
-    runtime::ShardedConfig cfg;
-    cfg.shards = 4;
-    cfg.engine_spec = spec;
-    cfg.wait_policy = runtime::ShardWorkerPool::WaitPolicy::kBusyPoll;
-    const runtime::ShardedClassifier sc(rules, cfg);
-    const auto t2 = std::chrono::steady_clock::now();
-    for (std::size_t off = 0; off < kPackets; off += kBatch) {
-      const std::size_t len = std::min(kBatch, kPackets - off);
-      sc.classify_batch({headers.data() + off, len}, {results.data() + off, len});
-    }
-    sharded4_spin_rate = static_cast<double>(kPackets) / seconds_since(t2);
-    table.add_row({sc.name() + " busy-poll", util::fmt_double(sharded4_spin_rate / 1e6, 3),
-                   util::fmt_double(sharded4_spin_rate / per_packet_rate, 2), "-", "-"});
-  }
   // Flow-cache front end on a cache-hit-heavy (skewed) trace: a few
   // elephant flows carry the traffic, so after one cold pass nearly
   // every packet is answered without touching any shard.
@@ -231,7 +212,7 @@ int main() {
                  util::fmt_double(sharded4_rate / sharded1_rate, 2) + "x of 1-shard on " +
                      std::to_string(hw) + " cores");
     bench::check("adding shards no longer inverts throughput (8-shard floor)",
-                 sharded8_rate >= sharded1_rate && sharded4_spin_rate > 0,
+                 sharded8_rate >= sharded1_rate,
                  "8-shard at " + util::fmt_double(sharded8_rate / sharded1_rate, 2) +
                      "x of 1-shard");
   } else {

@@ -120,7 +120,7 @@ int main() {
     runtime::ShardedClassifier sc(rules, cfg);
 
     const auto warm = run_batches(sc, headers, false, nullptr);
-    (void)warm;  // first run primes caches and the thread pool
+    (void)warm;  // first run primes caches and the shard workers
     const auto idle = run_batches(sc, headers, false, nullptr);
     contention.add_row({std::to_string(shards), "idle",
                         util::fmt_double(idle.p50, 1), util::fmt_double(idle.p99, 1),

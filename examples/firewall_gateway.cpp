@@ -3,12 +3,13 @@
 //
 //   $ firewall_gateway [--rules N] [--packets P] [--engine spec] [--seed S]
 //
-// Generates a firewall ruleset, streams a synthetic packet trace
-// through the chosen engine (in parallel batches across worker
-// threads), enforces the matched rule's action (forward / drop), and
-// prints traffic statistics plus the FPGA deployment report for the
-// equivalent hardware design point.
-#include <atomic>
+// Generates a firewall ruleset, streams a synthetic packet trace in
+// batches through the sharded runtime (priority-band shards of the
+// chosen engine, fanned out across the shard workers), enforces the
+// matched rule's action (forward / drop), and prints traffic
+// statistics plus the FPGA deployment report for the equivalent
+// hardware design point.
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -17,12 +18,11 @@
 using namespace rfipc;
 
 int main(int argc, char** argv) {
-  util::CliFlags flags(argc, argv, {"rules", "packets", "engine", "seed", "threads"});
+  util::CliFlags flags(argc, argv, {"rules", "packets", "engine", "seed"});
   const auto n_rules = flags.get_u64("rules", 512);
   const auto n_packets = flags.get_u64("packets", 200000);
   const auto spec = flags.get("engine", "stridebv:4");
   const auto seed = flags.get_u64("seed", 2013);
-  const auto threads = flags.get_u64("threads", 0);
 
   ruleset::GeneratorConfig gcfg;
   gcfg.mode = ruleset::GeneratorMode::kFirewall;
@@ -32,8 +32,10 @@ int main(int argc, char** argv) {
   const auto features = ruleset::analyze(rules);
   std::printf("ruleset: %s\n\n", features.summary().c_str());
 
-  const auto engine = engines::make_engine(spec, rules);
-  std::printf("engine: %s (%zu rules)\n", engine->name().c_str(), engine->rule_count());
+  runtime::ShardedConfig rcfg;
+  rcfg.engine_spec = spec;
+  const runtime::ShardedClassifier engine(rules, rcfg);
+  std::printf("engine: %s (%zu rules)\n", engine.name().c_str(), engine.rule_count());
 
   ruleset::TraceConfig tcfg;
   tcfg.size = n_packets;
@@ -43,35 +45,32 @@ int main(int argc, char** argv) {
   packed.reserve(trace.size());
   for (const auto& t : trace) packed.emplace_back(t);
 
-  // Classify in parallel across packets; per-port forwarding counters.
-  std::atomic<std::uint64_t> dropped{0};
-  std::atomic<std::uint64_t> forwarded{0};
-  std::atomic<std::uint64_t> unmatched{0};
-  util::ThreadPool pool(static_cast<std::size_t>(threads));
-  pool.parallel_for(packed.size(), [&](std::size_t begin, std::size_t end) {
-    std::uint64_t local_drop = 0;
-    std::uint64_t local_fwd = 0;
-    std::uint64_t local_miss = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto r = engine->classify(packed[i]);
+  // Classify batch by batch; per-action forwarding counters.
+  constexpr std::size_t kBatch = 256;
+  std::vector<engines::MatchResult> results(kBatch);
+  std::uint64_t dropped = 0;
+  std::uint64_t forwarded = 0;
+  std::uint64_t unmatched = 0;
+  for (std::size_t off = 0; off < packed.size(); off += kBatch) {
+    const std::size_t len = std::min(kBatch, packed.size() - off);
+    engine.classify_batch({packed.data() + off, len}, {results.data(), len},
+                          engines::BatchOptions{.want_multi = false});
+    for (std::size_t i = 0; i < len; ++i) {
+      const auto& r = results[i];
       if (!r.has_match()) {
-        ++local_miss;  // no default rule would be a misconfiguration
+        ++unmatched;  // no default rule would be a misconfiguration
       } else if (rules[r.best].action.kind == ruleset::Action::Kind::kDrop) {
-        ++local_drop;
+        ++dropped;
       } else {
-        ++local_fwd;
+        ++forwarded;
       }
     }
-    dropped += local_drop;
-    forwarded += local_fwd;
-    unmatched += local_miss;
-  });
+  }
 
   std::printf("traffic: %s packets -> %s forwarded, %s dropped, %s unmatched\n",
               util::fmt_group(packed.size()).c_str(),
-              util::fmt_group(forwarded.load()).c_str(),
-              util::fmt_group(dropped.load()).c_str(),
-              util::fmt_group(unmatched.load()).c_str());
+              util::fmt_group(forwarded).c_str(), util::fmt_group(dropped).c_str(),
+              util::fmt_group(unmatched).c_str());
 
   // What would this engine cost on the paper's FPGA?
   const auto device = fpga::virtex7_xc7vx1140t();

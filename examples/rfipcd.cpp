@@ -2,7 +2,7 @@
 //
 //   $ rfipcd [--host H] [--port P] [--rules SRC] [--shards S]
 //            [--engine SPEC] [--flow-cache N] [--seed S]
-//            [--port-file PATH] [--smoke]
+//            [--port-file PATH] [--smoke] [--budget CORES]
 //            [--journal DIR] [--fsync none|batch|always]
 //            [--checkpoint-every N] [--force-empty]
 //            [--capture <iface|pcap:PATH>] [--capture-rings N]
@@ -22,8 +22,14 @@
 // in-flight rule updates publish and reply, then exit.
 //
 // --port defaults to 0 (ephemeral); --port-file writes the bound port
-// to PATH once listening, which is how scripts/server_smoke.sh finds
-// the server without racing on a fixed port.
+// to PATH once the daemon listens and its SIGTERM/SIGINT handlers are
+// in place, so a signal sent as soon as the file appears still drains.
+// That is how scripts/server_smoke.sh finds the server without racing
+// on a fixed port.
+//
+// --budget caps the cores the daemon spends (0 = all): the reactor,
+// the update waiter and one thread per capture ring come off the top,
+// and the shard fan-out gets one lane per remaining core.
 //
 // --journal DIR makes rule state durable: on a fresh directory the
 // generated ruleset is seeded as a checkpoint, and every acked update
@@ -56,6 +62,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -130,15 +137,23 @@ int run_smoke(server::ClassifyServer& srv, const ruleset::RuleSet& rules,
   return rc;
 }
 
+util::CliFlags parse_flags(int argc, char** argv) {
+  try {
+    return util::CliFlags(argc, argv,
+                          {"host", "port", "rules", "shards", "engine", "flow-cache",
+                           "seed", "port-file", "smoke", "budget", "journal", "fsync",
+                           "checkpoint-every", "force-empty", "capture",
+                           "capture-rings", "capture-batch", "capture-loops"});
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "rfipcd: %s\n", e.what());
+    std::exit(2);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::CliFlags flags(argc, argv,
-                       {"host", "port", "rules", "shards", "engine", "flow-cache",
-                        "seed", "port-file", "smoke", "budget", "busy-poll", "pin",
-                        "journal", "fsync", "checkpoint-every", "force-empty",
-                        "capture", "capture-rings", "capture-batch",
-                        "capture-loops"});
+  const util::CliFlags flags = parse_flags(argc, argv);
   const auto seed = flags.get_u64("seed", 7);
 
   const std::string rules_spec = flags.get("rules", "256");
@@ -221,10 +236,6 @@ int main(int argc, char** argv) {
   // with the reactor and update waiter.
   rcfg.reserved_cores =
       server::kServiceThreads + (capture_spec.empty() ? 0 : capture_rings);
-  if (flags.get_bool("busy-poll")) {
-    rcfg.wait_policy = runtime::ShardWorkerPool::WaitPolicy::kBusyPoll;
-  }
-  rcfg.pin_workers = flags.get_bool("pin");
   if (durable != nullptr) {
     // Runs on the applier thread after each batch publishes but before
     // its futures resolve: an OK wire reply implies the journal append
@@ -331,6 +342,13 @@ int main(int argc, char** argv) {
   }
   std::fflush(stdout);
 
+  // Signals drain from here on, before anyone can learn the port: a
+  // drain requested before run() starts is still honoured, because
+  // request_drain() signals the event loop's notifier.
+  g_server = &srv;
+  std::signal(SIGTERM, on_signal);
+  std::signal(SIGINT, on_signal);
+
   if (const auto path = flags.get("port-file", ""); !path.empty()) {
     std::ofstream f(path);
     f << srv.port() << "\n";
@@ -340,14 +358,12 @@ int main(int argc, char** argv) {
 
   if (flags.get_bool("smoke")) {
     const int rc = run_smoke(srv, rules, seed);
+    g_server = nullptr;
     if (capture_slot != nullptr) capture_slot->store(nullptr);
     if (capture_loop != nullptr) capture_loop->stop();
     return rc;
   }
 
-  g_server = &srv;
-  std::signal(SIGTERM, on_signal);
-  std::signal(SIGINT, on_signal);
   srv.run();
   g_server = nullptr;
 

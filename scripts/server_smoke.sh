@@ -13,6 +13,8 @@
 #   4. STATS serves JSON carrying the server counter block.
 #   5. SIGTERM triggers a graceful drain: the daemon exits 0 by itself
 #      and logs the drained counter line.
+#   6. A SIGTERM sent the moment the port file appears drains too: the
+#      daemon installs its handlers before it publishes the port.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -62,20 +64,43 @@ grep -q '"server"' <<<"${stats}" \
   || { echo "server_smoke: STATS JSON is missing the server counter block" >&2; exit 1; }
 echo "server_smoke: stats ${stats}"
 
+# After a SIGTERM, require a graceful drain within 10 s: exit 0 and
+# the drained counter line in the daemon's log.
+check_drained() {
+  local leg="$1"
+  for _ in $(seq 1 100); do
+    kill -0 "${DAEMON}" 2>/dev/null || break
+    sleep 0.1
+  done
+  if kill -0 "${DAEMON}" 2>/dev/null; then
+    echo "server_smoke: ${leg}: rfipcd did not drain within 10s of SIGTERM" >&2
+    exit 1
+  fi
+  wait "${DAEMON}" && rc=0 || rc=$?
+  trap - EXIT
+  [[ "${rc}" -eq 0 ]] \
+    || { echo "server_smoke: ${leg}: rfipcd exited ${rc}" >&2; cat "${log}" >&2; exit 1; }
+  grep -q 'drained' "${log}" \
+    || { echo "server_smoke: ${leg}: drain line missing from the daemon log" >&2; cat "${log}" >&2; exit 1; }
+}
+
 kill -TERM "${DAEMON}"
-for _ in $(seq 1 100); do
-  kill -0 "${DAEMON}" 2>/dev/null || break
-  sleep 0.1
-done
-if kill -0 "${DAEMON}" 2>/dev/null; then
-  echo "server_smoke: rfipcd did not drain within 10s of SIGTERM" >&2
-  exit 1
-fi
-wait "${DAEMON}" && rc=0 || rc=$?
-trap - EXIT
-[[ "${rc}" -eq 0 ]] || { echo "server_smoke: rfipcd exited ${rc}" >&2; cat "${log}" >&2; exit 1; }
-grep -q 'drained' "${log}" \
-  || { echo "server_smoke: drain line missing from the daemon log" >&2; cat "${log}" >&2; exit 1; }
+check_drained "drain"
+
+# Prompt-SIGTERM leg: signal as soon as the port file exists.
+rm -f "${port_file}"
+"${BUILD_DIR}/examples/rfipcd" --rules "${RULES}" --shards 2 \
+  --port-file "${port_file}" > "${log}" 2>&1 &
+DAEMON=$!
+trap 'kill -9 ${DAEMON} 2>/dev/null || true' EXIT
+# Spin without sleeping so the signal lands microseconds after the file
+# appears (a 10 ms poll misses a late handler install); a daemon that
+# dies first ends the spin too.
+until [[ -e "${port_file}" ]] || ! kill -0 "${DAEMON}" 2>/dev/null; do :; done
+kill -TERM "${DAEMON}" 2>/dev/null || true
+[[ -e "${port_file}" ]] || { echo "server_smoke: rfipcd never wrote ${port_file}" >&2; exit 1; }
+check_drained "prompt SIGTERM"
+echo "server_smoke: prompt SIGTERM drained cleanly"
 
 echo
-echo "server_smoke: PASS (classify -> insert -> classify -> stats -> drain)"
+echo "server_smoke: PASS (classify -> insert -> classify -> stats -> drain, prompt drain)"

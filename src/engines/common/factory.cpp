@@ -78,13 +78,6 @@ constexpr SpecEntry kSpecTable[] = {
        return std::make_unique<stridebv::StrideBVEngine>(
            std::move(rules), stridebv::StrideBVConfig{parse_stride(spec, colon)});
      }},
-    {"stridebv-re",
-     {"stridebv-re:4", ""},
-     "StrideBV with explicit port-range modules; :k = stride width",
-     [](const std::string& spec, std::size_t colon, ruleset::RuleSet rules) -> EnginePtr {
-       return std::make_unique<stridebv::StrideBVRangeEngine>(
-           std::move(rules), stridebv::StrideBVConfig{parse_stride(spec, colon)});
-     }},
     {"hicuts",
      {"hicuts", ""},
      "HiCuts-lite decision tree (feature-RELIANT baseline)",

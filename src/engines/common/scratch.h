@@ -11,7 +11,7 @@
 //
 // Arenas are not thread-safe and not meant to outlive a call; the
 // convention "one arena per classify_batch invocation" keeps the batch
-// path re-entrant (safe under the thread pool's shard fan-out, where
+// path re-entrant (safe under the shard workers' fan-out, where
 // several batches run concurrently on different arenas).
 #pragma once
 

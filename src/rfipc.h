@@ -89,4 +89,3 @@
 #include "util/prng.h"
 #include "util/str.h"
 #include "util/table.h"
-#include "util/thread_pool.h"

@@ -10,8 +10,7 @@
 //   * kIntervalNative — the range is stored as a closed interval set
 //     and compared directly ([lo, hi] comparators); exactly ONE entry
 //     per rule. Linear search, the tuple-space prefilter, and the
-//     range-module StrideBV variant (stridebv:ki / stridebv-re) lower
-//     this way.
+//     range-module StrideBV variant (stridebv:ki) lower this way.
 //
 // Before this module, ternary.cpp, flow/generic.cpp, and the FSBV
 // hybrid each hand-rolled the block decomposition + cross product.

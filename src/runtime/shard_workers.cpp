@@ -1,37 +1,23 @@
 #include "runtime/shard_workers.h"
 
-#include <chrono>
-
-#include "util/affinity.h"
-
 namespace rfipc::runtime {
 namespace {
 
-/// Spins this many cpu_relax() rounds before a kBlock worker parks or
-/// a kBlock dispatcher falls back to the condvar: long enough to cover
-/// the next batch arriving back-to-back, short enough not to burn a
-/// shared core.
+/// Spins this many cpu_relax() rounds before an idle worker parks or a
+/// waiting dispatcher blocks: long enough to cover the next batch
+/// arriving back-to-back, short enough not to burn a shared core.
 constexpr std::uint32_t kSpinRounds = 2048;
-
-/// Parked waits re-check on a timeout so a (theoretical) missed
-/// doorbell costs one tick, never a hang.
-constexpr std::chrono::milliseconds kParkTick{1};
 
 }  // namespace
 
-ShardWorkerPool::ShardWorkerPool(Options opts) : opts_(opts) {
-  lanes_.reserve(opts_.workers);
-  for (std::size_t w = 0; w < opts_.workers; ++w) {
-    lanes_.push_back(std::make_unique<Lane>(opts_.ring_capacity));
+ShardWorkerPool::ShardWorkerPool(Options opts) {
+  lanes_.reserve(opts.workers);
+  for (std::size_t w = 0; w < opts.workers; ++w) {
+    lanes_.push_back(std::make_unique<Lane>());
   }
-  workers_.reserve(opts_.workers);
-  pinned_ = opts_.pin && opts_.workers > 0;
-  for (std::size_t w = 0; w < opts_.workers; ++w) {
-    workers_.emplace_back([this, w] { worker_loop(w); });
-    if (opts_.pin) {
-      pinned_ = util::pin_thread_to_core(workers_.back(), opts_.pin_offset + w) &&
-                pinned_;
-    }
+  workers_.reserve(opts.workers);
+  for (auto& lane : lanes_) {
+    workers_.emplace_back([this, l = lane.get()] { worker_loop(*l); });
   }
 }
 
@@ -70,43 +56,34 @@ void ShardWorkerPool::dispatch(std::size_t w, TaskFn fn, void* ctx,
   // Doorbell. Taking park_mu makes the hand-off race-free by mutex
   // ordering alone (no fences — GCC's TSan can't model them): either
   // this critical section runs BEFORE the worker's park sequence, in
-  // which case the worker's under-lock ring re-check happens-after our
+  // which case the worker's under-lock ring check happens-after our
   // unlock and sees the pushed task, or the worker already parked and
   // its parked=true store is visible under the lock, so we notify.
-  if (opts_.wait != WaitPolicy::kBusyPoll) {
-    std::lock_guard<std::mutex> lock(lane.park_mu);
-    if (lane.parked.load(std::memory_order_relaxed)) lane.park_cv.notify_one();
-  }
+  std::lock_guard<std::mutex> lock(lane.park_mu);
+  if (lane.parked) lane.park_cv.notify_one();
 }
 
-void ShardWorkerPool::complete(Task& task) {
-  // Last access to *task.done: once remaining_ hits zero the
-  // dispatcher may return from wait() and destroy the Completion.
-  if (task.done->remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-      opts_.wait != WaitPolicy::kBusyPoll) {
-    { std::lock_guard<std::mutex> lock(done_mu_); }
-    done_cv_.notify_all();
-  }
+void ShardWorkerPool::complete(Completion& done) {
+  // Once remaining_ hits zero the dispatcher may return from wait()
+  // and destroy `done`: after this decrement, touch only pool members.
+  if (done.remaining_.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  // Same mutex-ordering argument as the worker doorbell: a dispatcher
+  // that checked done() before our decrement is already waiting on
+  // done_cv_ once we get done_mu_, so the notify reaches it.
+  { std::lock_guard<std::mutex> lock(done_mu_); }
+  done_cv_.notify_all();
 }
 
 void ShardWorkerPool::wait(Completion& done) {
-  for (std::uint32_t spin = 0; !done.done(); ++spin) {
-    if (spin < kSpinRounds) {
-      util::cpu_relax();
-    } else if (opts_.wait == WaitPolicy::kBusyPoll) {
-      // Busy-poll never sleeps, but past the spin budget the workers
-      // have clearly not been scheduled — cede the core so they can be
-      // (a no-op when every lane owns its core, the intended setup).
-      std::this_thread::yield();
-    } else {
-      std::unique_lock<std::mutex> lock(done_mu_);
-      done_cv_.wait_for(lock, kParkTick, [&done] { return done.done(); });
-    }
+  for (std::uint32_t spin = 0; spin < kSpinRounds; ++spin) {
+    if (done.done()) return;
+    util::cpu_relax();
   }
+  std::unique_lock<std::mutex> lock(done_mu_);
+  done_cv_.wait(lock, [&done] { return done.done(); });
 }
 
-void ShardWorkerPool::worker_loop(std::size_t w) {
-  Lane& lane = *lanes_[w];
+void ShardWorkerPool::worker_loop(Lane& lane) {
   std::uint32_t idle = 0;
   while (true) {
     Task task;
@@ -114,7 +91,7 @@ void ShardWorkerPool::worker_loop(std::size_t w) {
       idle = 0;
       task.fn(task.ctx, task.index);
       lane.tasks.fetch_add(1, std::memory_order_relaxed);
-      complete(task);
+      complete(*task.done);
       continue;
     }
     if (stop_.load(std::memory_order_acquire)) return;
@@ -122,21 +99,20 @@ void ShardWorkerPool::worker_loop(std::size_t w) {
       util::cpu_relax();
       continue;
     }
-    if (opts_.wait == WaitPolicy::kBusyPoll) {
-      std::this_thread::yield();  // same oversubscription valve as wait()
-      continue;
-    }
-    // Park: set the flag and re-check the ring UNDER park_mu, which
-    // pairs with the doorbell's critical section in dispatch() — a
-    // racing dispatch either ran first (its push is visible to this
-    // re-check) or runs after (it sees parked=true and notifies).
+    // Park: set the flag and check the ring UNDER park_mu, which pairs
+    // with the doorbell's critical section in dispatch() — a racing
+    // dispatch either ran first (its push is visible to the check) or
+    // runs after (it sees parked=true and notifies).
     std::unique_lock<std::mutex> lock(lane.park_mu);
-    lane.parked.store(true, std::memory_order_relaxed);
-    if (lane.ring.empty() && !stop_.load(std::memory_order_acquire)) {
+    lane.parked = true;
+    auto wake = [&] {
+      return !lane.ring.empty() || stop_.load(std::memory_order_acquire);
+    };
+    if (!wake()) {
       lane.parks.fetch_add(1, std::memory_order_relaxed);
-      lane.park_cv.wait_for(lock, kParkTick);
+      lane.park_cv.wait(lock, wake);
     }
-    lane.parked.store(false, std::memory_order_relaxed);
+    lane.parked = false;
     idle = 0;
   }
 }

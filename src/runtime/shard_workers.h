@@ -17,14 +17,11 @@
 //   futures, no std::function, no allocation on the hot path.
 // * A stack-owned Completion counts outstanding descriptors; the
 //   dispatcher merges per-worker results itself once it hits zero.
-// * Wait policy: kBlock (default) parks idle workers on a per-worker
-//   condvar after a short spin and parks the dispatcher on a shared
-//   completion condvar — right for servers sharing cores. kBusyPoll
-//   spins with cpu_relax() on both sides — opt-in for latency benches
-//   that own their cores.
-// * Pinning is opt-in and best effort (util/affinity.h): workers pin
-//   to consecutive cores starting at pin_offset, and a refused pin
-//   degrades to the portable no-pin behavior silently.
+// * One wait mechanism on both sides: spin kSpinRounds cpu_relax()
+//   rounds (covers the next batch arriving back-to-back), then block —
+//   an idle worker on its lane's condvar until the next doorbell, the
+//   dispatcher on a shared completion condvar. Neither side re-checks
+//   on a timer, so an idle pool costs no CPU.
 //
 // SPSC discipline: each ring has exactly one consumer (its worker).
 // The producer side is serialized by a per-worker dispatch mutex so
@@ -48,20 +45,13 @@ namespace rfipc::runtime {
 
 class ShardWorkerPool {
  public:
-  enum class WaitPolicy : std::uint8_t {
-    kBlock,     // spin briefly, then park on a condvar (default)
-    kBusyPoll,  // never park; cpu_relax() until work/completion arrives
-  };
+  /// Descriptor slots per worker ring. A batch hands each worker a few
+  /// descriptors at most, so a full ring means the worker is a whole
+  /// ring of batches behind.
+  static constexpr std::size_t kRingCapacity = 64;
 
   struct Options {
     std::size_t workers = 0;
-    WaitPolicy wait = WaitPolicy::kBlock;
-    /// Pin worker w to core pin_offset + w (best effort; no-op when
-    /// the platform refuses).
-    bool pin = false;
-    std::size_t pin_offset = 0;
-    /// Per-worker ring slots (rounded up to a power of two).
-    std::size_t ring_capacity = 64;
   };
 
   /// A batch descriptor: run fn(ctx, index) on the worker thread.
@@ -95,10 +85,6 @@ class ShardWorkerPool {
   ShardWorkerPool& operator=(const ShardWorkerPool&) = delete;
 
   std::size_t worker_count() const { return workers_.size(); }
-  WaitPolicy wait_policy() const { return opts_.wait; }
-  /// True when every requested pin was granted (false on non-Linux or
-  /// when the kernel refused — the no-pin fallback is automatic).
-  bool pinned() const { return pinned_; }
 
   /// Hands fn(ctx, index) to worker w and arms `done`. Spins (counting
   /// a ring stall) when w's ring is momentarily full — the ring bounds
@@ -107,9 +93,9 @@ class ShardWorkerPool {
   void dispatch(std::size_t w, TaskFn fn, void* ctx, std::size_t index,
                 Completion& done);
 
-  /// Blocks (per wait policy) until every descriptor armed on `done`
-  /// has run. Runs no shard work itself: the dispatcher's own share of
-  /// the batch should be executed between dispatch() and wait().
+  /// Spins, then blocks, until every descriptor armed on `done` has
+  /// run. Runs no shard work itself: the dispatcher's own share of the
+  /// batch should be executed between dispatch() and wait().
   void wait(Completion& done);
 
   std::vector<WorkerCounters> counters() const;
@@ -123,27 +109,24 @@ class ShardWorkerPool {
   };
 
   /// One worker's channel. Ring indices are the SPSC synchronization;
-  /// the mutex/condvar pair only implements parking for kBlock.
+  /// the mutex/condvar pair only implements parking.
   struct Lane {
-    explicit Lane(std::size_t ring_capacity) : ring(ring_capacity) {}
-    util::SpscRing<Task> ring;
+    util::SpscRing<Task> ring{kRingCapacity};
     std::mutex dispatch_mu;  // serializes concurrent producers
     std::mutex park_mu;
     std::condition_variable park_cv;
-    std::atomic<bool> parked{false};
+    bool parked = false;  // guarded by park_mu
     std::atomic<std::uint64_t> tasks{0};
     std::atomic<std::uint64_t> ring_stalls{0};
     std::atomic<std::uint64_t> parks{0};
   };
 
-  void worker_loop(std::size_t w);
-  void complete(Task& task);
+  void worker_loop(Lane& lane);
+  void complete(Completion& done);
 
-  Options opts_;
-  bool pinned_ = false;
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::atomic<bool> stop_{false};
-  /// Completion doorbell shared by all dispatchers (kBlock only).
+  /// Completion doorbell shared by all dispatchers.
   std::mutex done_mu_;
   std::condition_variable done_cv_;
   std::vector<std::thread> workers_;  // last: threads see members above

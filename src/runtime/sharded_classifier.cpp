@@ -4,11 +4,10 @@
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
-#include <thread>
 
 #include "engines/common/factory.h"
 #include "engines/common/scratch.h"
-#include "util/affinity.h"
+#include "util/cores.h"
 
 namespace rfipc::runtime {
 namespace {
@@ -32,27 +31,15 @@ std::size_t effective_shards(const ShardedConfig& cfg, std::size_t rules) {
   return clamped_shards(requested, rules);
 }
 
-/// One core budget → one worker crew: `lanes` ways of parallelism
-/// across shards with the dispatching caller as lane 0, so the crew
-/// holds lanes - 1 threads. An explicit `threads` wins (clamped to the
-/// shard count — more lanes than shards could never run); otherwise
-/// lanes = min(shards, core_budget - reserved_cores), never below one,
-/// so a 1-core box gets a fully inline serial fan-out.
+/// One core budget → one worker crew: the fan-out runs
+/// min(shards, core_budget - reserved_cores) lanes, never below one,
+/// with the dispatching caller as lane 0 — so the crew holds lanes - 1
+/// threads and a 1-core box gets a fully inline serial fan-out.
 ShardWorkerPool::Options worker_options(const ShardedConfig& cfg,
                                         std::size_t shards) {
-  if (shards == 0) shards = 1;
-  std::size_t lanes = cfg.threads != 0
-                          ? (cfg.threads < shards ? cfg.threads : shards)
-                          : util::parallel_lanes(shards, cfg.core_budget,
-                                                 cfg.reserved_cores);
-  if (lanes == 0) lanes = 1;
-  ShardWorkerPool::Options opts;
-  opts.workers = lanes - 1;
-  opts.wait = cfg.wait_policy;
-  opts.pin = cfg.pin_workers;
-  opts.pin_offset = cfg.pin_first_core;
-  opts.ring_capacity = cfg.worker_ring_capacity;
-  return opts;
+  const std::size_t lanes =
+      util::parallel_lanes(shards, cfg.core_budget, cfg.reserved_cores);
+  return ShardWorkerPool::Options{.workers = lanes - 1};
 }
 
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
@@ -159,47 +146,7 @@ void ShardedClassifier::record_shard_fault(const Shard& shard,
 
 MatchResult ShardedClassifier::classify(const net::HeaderBits& header) const {
   MatchResult out;
-  std::uint64_t epoch = 0;
-  if (cache_ != nullptr) {
-    epoch = cache_->epoch();  // captured before the slow-path snapshot pin
-    if (cache_->lookup(header, out)) {
-      stats_.record_batch(1, out.has_match() ? 1 : 0);
-      return out;
-    }
-  }
-  auto snap = snapshot_.read();
-  out.reset_for(snap->bases.back());
-  for (std::size_t s = 0; s < snap->shards.size(); ++s) {
-    const Shard& shard = snap->shards[s];
-    if (snap->bases[s + 1] == snap->bases[s]) continue;  // empty band
-    if (shard.health->quarantined.load(std::memory_order_acquire)) {
-      shard.health->degraded_packets.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    MatchResult r;
-    bool good = true;
-    try {
-      r = shard.engine->classify(header);
-    } catch (...) {
-      good = false;
-    }
-    if (good) good = validate_results({&r, 1}, shard.engine->rule_count());
-    if (!good) {
-      record_shard_fault(shard, 1);
-      continue;
-    }
-    shard.health->consecutive_faults.store(0, std::memory_order_relaxed);
-    if (r.has_match()) {
-      const std::size_t global = snap->bases[s] + r.best;
-      if (global < out.best) out.best = global;
-    }
-    for (std::size_t b = r.multi.first_set(); b != util::BitVector::npos;
-         b = r.multi.next_set(b + 1)) {
-      out.multi.set(snap->bases[s] + b);
-    }
-  }
-  if (cache_ != nullptr) cache_->insert(header, epoch, out);
-  stats_.record_batch(1, out.has_match() ? 1 : 0);
+  classify_batch({&header, 1}, {&out, 1}, engines::BatchOptions{});
   return out;
 }
 

@@ -13,9 +13,8 @@
 // shard-local winner with the smallest global index, and the
 // multi-match vector is the union of the shard vectors rebased to
 // global rule indices. Lane count derives from one core budget
-// (threads/core_budget/reserved_cores below); a budget of one core
-// collapses the whole fan-out to an inline serial loop with no
-// hand-off at all.
+// (core_budget/reserved_cores below); a budget of one core collapses
+// the whole fan-out to an inline serial loop with no hand-off at all.
 //
 // Concurrency contract (lock-free reads, RCU writes): classify() and
 // classify_batch() may be called from any number of threads at any
@@ -101,29 +100,16 @@ struct ShardedConfig {
   std::size_t max_band_rules = 0;
   /// Factory spec every shard engine is built from.
   std::string engine_spec = "stridebv:4";
-  /// Parallel lanes across shards, the dispatching caller included —
-  /// so `threads` lanes spawn `threads - 1` run-to-completion shard
-  /// workers. 0 derives lanes from the core budget below; 1 forces
-  /// fully inline (serial) fan-out with no worker threads at all.
-  std::size_t threads = 0;
   /// Total cores this process may spend; 0 = hardware_concurrency().
-  /// Shard workers get what `reserved_cores` leaves over, clamped so a
-  /// starved budget degrades to serial instead of oversubscribing.
+  /// The fan-out runs min(shards, core_budget - reserved_cores) lanes,
+  /// never fewer than one: the dispatching caller is lane 0 and each
+  /// further lane is a run-to-completion shard worker, so a budget of
+  /// one core classifies fully inline with no worker threads at all.
   std::size_t core_budget = 0;
   /// Cores already spoken for by co-resident threads (epoll reactor,
   /// update waiter, capture threads, ...). rfipcd passes
   /// server::kServiceThreads here.
   std::size_t reserved_cores = 0;
-  /// Dispatcher/worker hand-off wait policy: kBlock parks idle threads
-  /// (default, right when cores are shared); kBusyPoll spins (opt-in
-  /// for latency benches that own their cores).
-  ShardWorkerPool::WaitPolicy wait_policy = ShardWorkerPool::WaitPolicy::kBlock;
-  /// Pin shard workers to consecutive cores starting at
-  /// `pin_first_core` (best effort; silently unpinned where refused).
-  bool pin_workers = false;
-  std::size_t pin_first_core = 0;
-  /// Per-worker SPSC ring slots (rounded up to a power of two).
-  std::size_t worker_ring_capacity = 64;
   /// Shard failure containment knobs.
   FailurePolicy failure;
   /// How long the synchronous insert_rule/erase_rule wrappers wait for
@@ -158,6 +144,7 @@ class ShardedClassifier final : public engines::ClassifierEngine {
   /// the owning shard when its engine cannot patch incrementally.
   bool supports_update() const override { return true; }
 
+  /// A one-element classify_batch: the single lookup path.
   engines::MatchResult classify(const net::HeaderBits& header) const override;
   void classify_batch(std::span<const net::HeaderBits> headers,
                       std::span<engines::MatchResult> results,

@@ -57,7 +57,7 @@ struct ShardHealthDigest {
 struct WorkerDigest {
   std::uint64_t tasks = 0;        // shard-batch descriptors executed
   std::uint64_t ring_stalls = 0;  // dispatches that found the ring full
-  std::uint64_t parks = 0;        // idle sleeps (0 under busy-poll)
+  std::uint64_t parks = 0;        // idle sleeps
   std::size_t ring_depth = 0;     // descriptors queued at snapshot time
 };
 
@@ -93,8 +93,10 @@ struct PersistCounters {
 
 /// One capture RX ring's ingest counters (filled by the capture data
 /// plane, src/capture/). frames = everything pulled off the ring;
-/// parse failures, forwards, and drops partition the frames already
-/// decided; overruns are kernel-side losses the consumer never saw.
+/// forwards and drops partition the frames already decided, and a
+/// frame that fails to parse is dropped, so it counts in both
+/// parse_failures and dropped; overruns are kernel-side losses the
+/// consumer never saw.
 struct CaptureRing {
   std::uint64_t frames = 0;
   std::uint64_t batches = 0;

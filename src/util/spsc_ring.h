@@ -22,7 +22,7 @@
 
 namespace rfipc::util {
 
-/// Spin-wait hint for busy-poll loops: de-prioritizes the hyperthread
+/// Spin-wait hint for spin loops: de-prioritizes the hyperthread
 /// and saves power without giving up the core.
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)

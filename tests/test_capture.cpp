@@ -81,7 +81,7 @@ Reference reference_verdicts(const net::PcapFile& file,
 runtime::ShardedClassifier make_engine(const ruleset::RuleSet& rules) {
   runtime::ShardedConfig cfg;
   cfg.shards = 1;
-  cfg.threads = 1;
+  cfg.core_budget = 1;
   return runtime::ShardedClassifier(rules, cfg);
 }
 
@@ -206,6 +206,9 @@ TEST(CaptureLoop, CountersMatchReferenceVerdicts) {
     EXPECT_EQ(total.parse_failures, ref.parse_failures) << "link " << link;
     EXPECT_EQ(total.forwarded, ref.forwarded) << "link " << link;
     EXPECT_EQ(total.dropped, ref.dropped) << "link " << link;
+    // Parse failures count as drops too: forwards and drops partition
+    // the frames.
+    EXPECT_EQ(total.frames, total.forwarded + total.dropped) << "link " << link;
     EXPECT_EQ(total.overruns, 0u);
   }
 }

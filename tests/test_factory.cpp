@@ -21,7 +21,7 @@ TEST(Factory, StrideSuffixParsed) {
   EXPECT_EQ(make_engine("stridebv:3", rs)->name(), "StrideBV(k=3)");
   EXPECT_EQ(make_engine("stridebv:8", rs)->name(), "StrideBV(k=8)");
   EXPECT_EQ(make_engine("stridebv", rs)->name(), "StrideBV(k=4)");  // default
-  EXPECT_EQ(make_engine("stridebv-re:2", rs)->name(), "StrideBV-RE(k=2)");
+  EXPECT_EQ(make_engine("stridebv:2i", rs)->name(), "StrideBV-RE(k=2)");
 }
 
 TEST(Factory, SpecListAndHelpDeriveFromOneTable) {
@@ -31,8 +31,8 @@ TEST(Factory, SpecListAndHelpDeriveFromOneTable) {
   const auto specs = known_engine_specs();
   EXPECT_GE(specs.size(), 10u);
   const auto help = engine_spec_help();
-  for (const char* kind : {"linear", "tcam", "stridebv", "stridebv-re", "hicuts",
-                           "fsbv-hybrid", "bv", "abv", "tcam-part"}) {
+  for (const char* kind : {"linear", "tcam", "stridebv", "hicuts", "fsbv-hybrid", "bv",
+                           "abv", "tcam-part"}) {
     bool listed = false;
     for (const auto& s : specs) {
       if (s.substr(0, s.find(':')) == kind) listed = true;

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <thread>
 
 #include "rfipc.h"
 
@@ -89,10 +90,16 @@ TEST(Integration, ParallelBatchEqualsSequential) {
     sequential[i] = engine->classify(packets[i]).best;
   }
   std::vector<std::size_t> parallel(packets.size());
-  util::ThreadPool pool(4);
-  pool.parallel_for(packets.size(), [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) parallel[i] = engine->classify(packets[i]).best;
-  });
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = t; i < packets.size(); i += kThreads) {
+        parallel[i] = engine->classify(packets[i]).best;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
   EXPECT_EQ(parallel, sequential);
 }
 

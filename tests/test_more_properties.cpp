@@ -3,6 +3,8 @@
 // model-report invariants over the full sweep grid.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "engines/stridebv/stridebv_engine.h"
 #include "fpga/multipipeline.h"
 #include "fpga/report.h"
@@ -10,7 +12,6 @@
 #include "ruleset/trace.h"
 #include "sim/pipeline_sim.h"
 #include "util/prng.h"
-#include "util/thread_pool.h"
 
 namespace rfipc {
 namespace {
@@ -104,7 +105,7 @@ TEST(MoreProperties, ReportInvariantsAcrossGrid) {
 }
 
 // classify() is const and must be safe to call from many threads at
-// once (the batch-classification pattern firewall_gateway uses).
+// once (the shard workers classify beside the dispatching caller).
 TEST(MoreProperties, ConcurrentClassifyIsConsistent) {
   const auto rules = ruleset::generate_firewall(96, 44);
   const engines::stridebv::StrideBVEngine engine(rules, {4});
@@ -118,10 +119,16 @@ TEST(MoreProperties, ConcurrentClassifyIsConsistent) {
     reference[i] = engine.classify(packets[i]).best;
   }
   std::vector<std::size_t> parallel(packets.size());
-  util::ThreadPool pool(4);
-  pool.parallel_for(packets.size(), [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) parallel[i] = engine.classify(packets[i]).best;
-  });
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = t; i < packets.size(); i += kThreads) {
+        parallel[i] = engine.classify(packets[i]).best;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
   EXPECT_EQ(parallel, reference);
 }
 

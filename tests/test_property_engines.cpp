@@ -64,10 +64,9 @@ TEST_P(EngineAgreement, MatchesGoldenOverTrace) {
 
 std::vector<Param> agreement_params() {
   std::vector<Param> out;
-  const char* specs[] = {"stridebv:1",    "stridebv:3",    "stridebv:4",
-                         "stridebv:5",    "stridebv-re:3", "stridebv-re:4",
-                         "tcam",          "hicuts",        "bv",
-                         "fsbv-hybrid",   "tcam-part:3",   "tcam-part:6"};
+  const char* specs[] = {"stridebv:1",  "stridebv:3",  "stridebv:4",  "stridebv:5",
+                         "stridebv:3i", "stridebv:4i", "tcam",        "hicuts",
+                         "bv",          "fsbv-hybrid", "tcam-part:3", "tcam-part:6"};
   const GeneratorMode modes[] = {GeneratorMode::kFirewall, GeneratorMode::kAcl,
                                  GeneratorMode::kFeatureFree};
   for (const auto* spec : specs) {
@@ -82,7 +81,7 @@ std::vector<Param> agreement_params() {
     }
   }
   // Range-heavy stress (expansion paths).
-  for (const auto* spec : {"stridebv:4", "stridebv-re:4", "tcam"}) {
+  for (const auto* spec : {"stridebv:4", "stridebv:4i", "tcam"}) {
     out.push_back({spec, GeneratorMode::kFeatureFree, 48, 0.9});
   }
   return out;
@@ -132,7 +131,7 @@ TEST_P(EngineUpdates, StaysConsistentThroughMutations) {
 
 INSTANTIATE_TEST_SUITE_P(Updatable, EngineUpdates,
                          testing::Values("linear", "tcam", "stridebv:3", "stridebv:4",
-                                         "stridebv-re:4"),
+                                         "stridebv:4i"),
                          [](const testing::TestParamInfo<std::string>& info) {
                            std::string s = info.param;
                            for (auto& c : s) {

@@ -197,25 +197,20 @@ TEST(ShardedClassifier, ShardsExceedingCoreBudgetStayCorrect) {
   const auto rules = ruleset::generate_firewall(128, 29);
   const engines::LinearSearchEngine golden(rules);
   const auto headers = packed_trace(rules, 200, 30);
-  // (core_budget, explicit threads) pairs: a 1-core box (fully inline),
-  // a 2-core box (dispatcher + 1 worker), and forced lane counts above
-  // and below the shard count.
-  struct Case {
-    std::size_t budget;
-    std::size_t threads;
-  };
-  for (const Case c : {Case{1, 0}, Case{2, 0}, Case{0, 1}, Case{0, 3}, Case{0, 16}}) {
+  // Core budgets: a 1-core box (fully inline), a 2-core box
+  // (dispatcher + 1 worker), and lane counts below and above the shard
+  // count (16 clamps to one lane per shard).
+  for (const std::size_t budget : {1u, 2u, 3u, 16u}) {
     ShardedConfig cfg;
     cfg.shards = 9;  // more shards than any small box has cores
-    cfg.core_budget = c.budget;
-    cfg.threads = c.threads;
+    cfg.core_budget = budget;
     const ShardedClassifier sc(rules, cfg);
     std::vector<MatchResult> got(headers.size());
     sc.classify_batch(headers, got);
     sc.classify_batch(headers, got);  // pooled-scratch reuse round
     for (std::size_t i = 0; i < headers.size(); ++i) {
       ASSERT_EQ(got[i].best, golden.classify(headers[i]).best)
-          << "budget=" << c.budget << " threads=" << c.threads << " packet " << i;
+          << "budget=" << budget << " packet " << i;
     }
   }
 }
@@ -224,7 +219,7 @@ TEST(ShardedClassifier, WorkerDigestsAppearInStats) {
   const auto rules = ruleset::generate_firewall(64, 41);
   ShardedConfig cfg;
   cfg.shards = 4;
-  cfg.threads = 3;  // dispatcher lane + 2 workers
+  cfg.core_budget = 3;  // dispatcher lane + 2 workers
   const ShardedClassifier sc(rules, cfg);
   const auto headers = packed_trace(rules, 256, 42);
   std::vector<MatchResult> out(headers.size());
@@ -249,7 +244,7 @@ TEST(ShardedClassifier, WorkerDigestsAppearInStats) {
   // A 1-lane classifier reports no worker digests.
   ShardedConfig serial_cfg;
   serial_cfg.shards = 4;
-  serial_cfg.threads = 1;
+  serial_cfg.core_budget = 1;
   const ShardedClassifier serial(rules, serial_cfg);
   serial.classify_batch(headers, out);
   EXPECT_TRUE(serial.stats_snapshot().workers.empty());

@@ -201,15 +201,15 @@ TEST(RuntimeConcurrent, MultipleProducersSerializeThroughTheQueue) {
 }
 
 // The same prefix-consistency invariant, but with the fan-out FORCED
-// through the run-to-completion workers (threads=4 overrides the core
-// budget, so even a 1-core CI box exercises the SPSC hand-off). Under
+// through the run-to-completion workers (a core budget of 4 buys the
+// lanes even on a 1-core CI box, so it exercises the SPSC hand-off). Under
 // TSan this is the dispatcher/worker/RCU interleaving stress: workers
 // read the snapshot the dispatcher pinned while the writer publishes
 // new ones.
 TEST(RuntimeConcurrent, WorkerFanOutSeesOnlyPrefixConsistentSnapshots) {
   ShardedConfig cfg;
   cfg.shards = 3;
-  cfg.threads = 4;  // dispatcher lane + 3 ring-fed workers
+  cfg.core_budget = 4;  // dispatcher lane + 3 ring-fed workers
   cfg.engine_spec = "linear";
   ShardedClassifier sc(base_rules(), cfg);
 
@@ -256,7 +256,7 @@ TEST(RuntimeConcurrent, WorkerFanOutSeesOnlyPrefixConsistentSnapshots) {
   EXPECT_TRUE(rep.valid) << rep.error;
   EXPECT_GT(rep.observations, 0u);
   EXPECT_EQ(sc.stats_snapshot().faults, 0u);
-  // threads=4 clamps to the 3 shards: dispatcher lane + 2 workers.
+  // 4 lanes clamp to the 3 shards: dispatcher lane + 2 workers.
   ASSERT_EQ(sc.stats_snapshot().workers.size(), 2u);
 }
 
@@ -267,7 +267,7 @@ TEST(RuntimeConcurrent, WorkerFanOutSeesOnlyPrefixConsistentSnapshots) {
 TEST(RuntimeConcurrent, WorkerFanOutSurvivesQuarantineUnderUpdates) {
   ShardedConfig cfg;
   cfg.shards = 3;
-  cfg.threads = 4;
+  cfg.core_budget = 4;
   cfg.engine_spec = "faulty(linear):p=1,mode=throw";
   cfg.failure.quarantine_after = 2;
   cfg.failure.rebuild = false;  // stay degraded: the worst case

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -152,34 +154,36 @@ TEST(ShardWorkerPool, RunsEveryDescriptorExactlyOnce) {
   EXPECT_EQ(total, 4u * kTasks);
 }
 
-TEST(ShardWorkerPool, RingBackpressureStallsDispatchNotCorrectness) {
-  // A 1-deep ring (rounds to 2 slots) forces dispatch() through its
-  // full-ring spin path; every descriptor must still run.
-  runtime::ShardWorkerPool::Options opts;
-  opts.workers = 1;
-  opts.ring_capacity = 1;
-  runtime::ShardWorkerPool pool(opts);
-  std::vector<std::atomic<std::uint64_t>> hits(512);
-  runtime::ShardWorkerPool::Completion done;
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    pool.dispatch(0, &bump, hits.data(), i, done);
+/// Backpressure rig: task 0 holds its worker until the pool reports a
+/// ring stall, so the dispatcher is certain to find the ring full.
+struct StallRig {
+  runtime::ShardWorkerPool* pool = nullptr;
+  std::vector<std::atomic<std::uint64_t>> hits;
+};
+
+void hold_until_stall(void* ctx, std::size_t index) {
+  auto* rig = static_cast<StallRig*>(ctx);
+  if (index == 0) {
+    while (rig->pool->counters()[0].ring_stalls == 0) std::this_thread::yield();
   }
-  pool.wait(done);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1u);
+  rig->hits[index].fetch_add(1, std::memory_order_relaxed);
 }
 
-TEST(ShardWorkerPool, BusyPollPolicyCompletes) {
-  runtime::ShardWorkerPool::Options opts;
-  opts.workers = 2;
-  opts.wait = runtime::ShardWorkerPool::WaitPolicy::kBusyPoll;
-  runtime::ShardWorkerPool pool(opts);
-  std::vector<std::atomic<std::uint64_t>> hits(256);
+TEST(ShardWorkerPool, RingBackpressureStallsDispatchNotCorrectness) {
+  // While task 0 runs, the worker drains nothing, so at most
+  // kRingCapacity further descriptors fit: dispatching more than
+  // kRingCapacity + 1 reaches the full-ring spin path deterministically.
+  // Every descriptor must still run exactly once.
+  runtime::ShardWorkerPool pool(runtime::ShardWorkerPool::Options{.workers = 1});
+  StallRig rig{&pool, std::vector<std::atomic<std::uint64_t>>(
+                          4 * runtime::ShardWorkerPool::kRingCapacity)};
   runtime::ShardWorkerPool::Completion done;
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    pool.dispatch(i % 2, &bump, hits.data(), i, done);
+  for (std::size_t i = 0; i < rig.hits.size(); ++i) {
+    pool.dispatch(0, &hold_until_stall, &rig, i, done);
   }
   pool.wait(done);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1u);
+  for (const auto& h : rig.hits) EXPECT_EQ(h.load(), 1u);
+  EXPECT_GE(pool.counters()[0].ring_stalls, 1u);
 }
 
 TEST(ShardWorkerPool, ZeroWorkersIsInlineOnlyPool) {
@@ -209,6 +213,35 @@ TEST(ShardWorkerPool, ManyBatchesBackToBackReuseParkedWorkers) {
     pool.wait(done);
   }
   EXPECT_EQ(n.load(), 1000u);
+}
+
+TEST(ShardWorkerPool, IdleWorkersStayParked) {
+  // A worker parks once after its spin budget and sleeps until the next
+  // doorbell: no timed wake-ups, so an idle pool burns no CPU and its
+  // parks counters stay flat for as long as nothing is dispatched.
+  runtime::ShardWorkerPool pool(runtime::ShardWorkerPool::Options{.workers = 3});
+  std::vector<std::atomic<std::uint64_t>> hits(3);
+  runtime::ShardWorkerPool::Completion done;
+  for (std::size_t w = 0; w < 3; ++w) pool.dispatch(w, &bump, hits.data(), w, done);
+  pool.wait(done);
+
+  auto parks = [&pool] {
+    std::vector<std::uint64_t> p;
+    for (const auto& c : pool.counters()) p.push_back(c.parks);
+    return p;
+  };
+  // Settled: every worker has parked and nothing moved for 50 ms.
+  std::vector<std::uint64_t> settled = parks();
+  for (int i = 0; i < 100; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const std::vector<std::uint64_t> now = parks();
+    const bool all_parked =
+        std::all_of(now.begin(), now.end(), [](std::uint64_t p) { return p > 0; });
+    if (all_parked && now == settled) break;
+    settled = now;
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  EXPECT_EQ(parks(), settled) << "idle workers woke without a doorbell";
 }
 
 }  // namespace
