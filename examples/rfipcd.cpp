@@ -6,7 +6,7 @@
 //            [--journal DIR] [--fsync none|batch|always]
 //            [--checkpoint-every N] [--force-empty]
 //            [--capture <iface|pcap:PATH>] [--capture-rings N]
-//            [--capture-batch N] [--capture-loops N]
+//            [--capture-loops N]
 //
 // --rules names a ruleset SOURCE (see ruleset/lang/source.h): a bare
 // count keeps the historical generate-N-firewall-rules behaviour
@@ -39,17 +39,18 @@
 // journal tail replay; a torn tail is salvaged, and startup refuses on
 // a corrupt checkpoint unless --force-empty archives it aside).
 // --checkpoint-every N compacts the journal into a fresh checkpoint
-// every N records (0 = size-triggered only).
+// every N records (0 = only when the active segment reaches 8 MiB).
 //
 // --capture turns the daemon into an inline data plane alongside the
 // RPC service: frames from a live interface (AF_PACKET TPACKET_V3
 // rings; needs CAP_NET_RAW) or a deterministic pcap replay
 // ("pcap:PATH", --capture-loops passes, 0 = loop until drain) are
-// parsed and classified through the same sharded engine the wire
-// clients query, with drop/forward verdicts counted per ring and
-// surfaced in the STATS reply's "capture" block. Rule updates arriving
-// over RPC retarget capture verdicts BEFORE their OK reply, via the
-// same applier-thread hook that journals them.
+// parsed and classified in batches of 256 frames through the same
+// sharded engine the wire clients query. Frames no rule matches are
+// dropped; drop/forward verdicts are counted per ring and surfaced in
+// the STATS reply's "capture" block. Rule updates arriving over RPC
+// retarget capture verdicts BEFORE their OK reply, via the same
+// applier-thread hook that journals them.
 //
 // --smoke runs the whole loop in-process: the server serves on a
 // background thread while a ClassifyClient pings, classifies a batch,
@@ -143,7 +144,7 @@ util::CliFlags parse_flags(int argc, char** argv) {
                           {"host", "port", "rules", "shards", "engine", "flow-cache",
                            "seed", "port-file", "smoke", "budget", "journal", "fsync",
                            "checkpoint-every", "force-empty", "capture",
-                           "capture-rings", "capture-batch", "capture-loops"});
+                           "capture-rings", "capture-loops"});
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "rfipcd: %s\n", e.what());
     std::exit(2);
@@ -317,10 +318,8 @@ int main(int argc, char** argv) {
                    e.what());
       return 2;
     }
-    capture::CaptureLoopConfig lcfg;
-    lcfg.batch_size = flags.get_u64("capture-batch", 256);
-    capture_loop = std::make_unique<capture::CaptureLoop>(*capture_src, classifier,
-                                                          rules, lcfg);
+    capture_loop =
+        std::make_unique<capture::CaptureLoop>(*capture_src, classifier, rules);
     capture_slot->store(capture_loop.get(), std::memory_order_release);
   }
 

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   std::printf("runtime: %s\n", gateway.name().c_str());
   for (std::size_t s = 0; s < gateway.shard_count(); ++s) {
     std::printf("  shard %zu: %zu rules (%s)\n", s, gateway.shard_size(s),
-                gateway.shard(s).name().c_str());
+                gateway.shard_engine(s)->name().c_str());
   }
 
   ruleset::TraceConfig tcfg;

@@ -21,7 +21,7 @@ run() {
   shift 2
   echo "== ${dir} (RFIPC_SANITIZE='${sanitize}') =="
   cmake -B "${dir}" -S . -DRFIPC_SANITIZE="${sanitize}" "${CMAKE_ARGS[@]}" >/dev/null
-  cmake --build "${dir}" -j "$@"
+  cmake --build "${dir}" -j "$(nproc)" "$@"
   # -j needs an explicit value: a bare "-j" would swallow the next
   # CTEST_ARGS element (e.g. -R) as its argument.
   (cd "${dir}" && ctest --output-on-failure -j "$(nproc)" "${CTEST_ARGS[@]}")

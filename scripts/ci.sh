@@ -52,7 +52,7 @@ echo "== ci.sh: large_n smoke (sanitizer auto-skip gate) =="
 # The reduced-N perf floor itself runs inside bench_smoke.sh below on
 # the plain build; here the ASan build (left behind by check.sh) must
 # refuse to emit perf rows at all.
-cmake --build build-asan -j --target bench_large_n bench_capture >/dev/null
+cmake --build build-asan -j "$(nproc)" --target bench_large_n bench_capture >/dev/null
 if ! (cd build-asan/bench && ./bench_large_n) | grep -q '\[SKIP\] bench_large_n'; then
   echo "large_n_smoke: sanitizer build of bench_large_n did not auto-skip" >&2
   exit 1
@@ -70,7 +70,7 @@ echo "== ci.sh: ruleset interchange smoke (ASan round trip + grammar errors) =="
 # ASan: export -> import -> export byte-identical per format. Then a
 # small grammar error corpus: each bad program must be rejected with a
 # line:col diagnostic — and the rejection itself must not trip ASan.
-cmake --build build-asan -j --target ruleset_tool >/dev/null
+cmake --build build-asan -j "$(nproc)" --target ruleset_tool >/dev/null
 build-asan/examples/ruleset_tool roundtrip examples/firewall.rules
 bad_dir="$(mktemp -d)"
 trap 'rm -rf "${bad_dir}"' EXIT

@@ -20,7 +20,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build}"
 cmake -B "${BUILD_DIR}" -S . >/dev/null
-cmake --build "${BUILD_DIR}" -j --target rfipcd rfipc_client
+cmake --build "${BUILD_DIR}" -j "$(nproc)" --target rfipcd rfipc_client
 
 workdir="${BUILD_DIR}/server-smoke"
 mkdir -p "${workdir}"

@@ -31,23 +31,14 @@ namespace {
                           std::string("af_packet: ") + what);
 }
 
-std::size_t page_round_up(std::size_t v) {
-  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-  return (v + page - 1) / page * page;
-}
-
 }  // namespace
 
 AfPacketSource::AfPacketSource(AfPacketConfig config) : config_(std::move(config)) {
   if (config_.rings == 0) config_.rings = 1;
-  config_.block_size = page_round_up(config_.block_size);
   const unsigned ifindex = ::if_nametoindex(config_.iface.c_str());
   if (ifindex == 0) throw_errno("if_nametoindex");
-  std::uint16_t fanout = config_.fanout_group;
-  if (fanout == 0) {
-    fanout = static_cast<std::uint16_t>(::getpid() & 0xffff);
-    if (fanout == 0) fanout = 1;
-  }
+  auto fanout = static_cast<std::uint16_t>(::getpid() & 0xffff);
+  if (fanout == 0) fanout = 1;
   try {
     for (std::size_t i = 0; i < config_.rings; ++i) {
       rings_.push_back(std::make_unique<Ring>());
@@ -70,17 +61,16 @@ void AfPacketSource::open_ring(Ring& ring, int ifindex, std::uint16_t fanout) {
   }
 
   tpacket_req3 req{};
-  req.tp_block_size = static_cast<unsigned>(config_.block_size);
-  req.tp_block_nr = static_cast<unsigned>(config_.block_count);
+  req.tp_block_size = static_cast<unsigned>(kBlockSize);
+  req.tp_block_nr = static_cast<unsigned>(kBlockCount);
   req.tp_frame_size = 2048;  // accounting only in V3; frames pack tightly
-  req.tp_frame_nr = static_cast<unsigned>(config_.block_size *
-                                          config_.block_count / 2048);
-  req.tp_retire_blk_tov = config_.block_timeout_ms;
+  req.tp_frame_nr = static_cast<unsigned>(kBlockSize * kBlockCount / 2048);
+  req.tp_retire_blk_tov = kBlockTimeoutMs;
   if (::setsockopt(ring.fd, SOL_PACKET, PACKET_RX_RING, &req, sizeof(req)) != 0) {
     throw_errno("setsockopt(PACKET_RX_RING)");
   }
 
-  ring.map_len = config_.block_size * config_.block_count;
+  ring.map_len = kBlockSize * kBlockCount;
   void* map = ::mmap(nullptr, ring.map_len, PROT_READ | PROT_WRITE,
                      MAP_SHARED | MAP_LOCKED, ring.fd, 0);
   if (map == MAP_FAILED) {
@@ -147,14 +137,13 @@ std::size_t AfPacketSource::next_batch(std::size_t ring_index,
   // The previous call's views pointed into the current block; now that
   // the consumer is back, a fully-walked block goes home to the kernel.
   auto block_desc = [&](std::size_t b) {
-    return reinterpret_cast<tpacket_block_desc*>(ring.map +
-                                                 b * config_.block_size);
+    return reinterpret_cast<tpacket_block_desc*>(ring.map + b * kBlockSize);
   };
   if (ring.block_open && ring.walk_done) {
     auto* desc = block_desc(ring.block);
     __atomic_store_n(&desc->hdr.bh1.block_status, TP_STATUS_KERNEL,
                      __ATOMIC_RELEASE);
-    ring.block = (ring.block + 1) % config_.block_count;
+    ring.block = (ring.block + 1) % kBlockCount;
     ring.block_open = false;
     ring.walk_done = false;
   }
@@ -174,18 +163,17 @@ std::size_t AfPacketSource::next_batch(std::size_t ring_index,
         // the next one.
         __atomic_store_n(&desc->hdr.bh1.block_status, TP_STATUS_KERNEL,
                          __ATOMIC_RELEASE);
-        ring.block = (ring.block + 1) % config_.block_count;
+        ring.block = (ring.block + 1) % kBlockCount;
         ring.block_open = false;
       }
       continue;
     }
     pollfd pfd{ring.fd, POLLIN | POLLERR, 0};
-    ::poll(&pfd, 1, static_cast<int>(config_.poll_ms));
+    ::poll(&pfd, 1, kPollMs);
   }
 
   // Walk the user-owned block, resuming where the last call stopped.
-  const std::uint8_t* base =
-      ring.map + ring.block * config_.block_size;
+  const std::uint8_t* base = ring.map + ring.block * kBlockSize;
   std::size_t filled = 0;
   while (filled < out.size() && ring.walk_remaining > 0) {
     const auto* hdr =
@@ -207,8 +195,8 @@ std::size_t AfPacketSource::next_batch(std::size_t ring_index,
 std::string AfPacketSource::describe() const {
   return "af_packet " + config_.iface + " x" + std::to_string(rings_.size()) +
          " ring" + (rings_.size() == 1 ? "" : "s") + " (TPACKET_V3, " +
-         std::to_string(config_.block_count) + " x " +
-         std::to_string(config_.block_size / 1024) + " KiB blocks, fanout hash)";
+         std::to_string(kBlockCount) + " x " + std::to_string(kBlockSize / 1024) +
+         " KiB blocks, fanout hash)";
 }
 
 #else  // !__linux__

@@ -32,23 +32,24 @@
 
 namespace rfipc::capture {
 
+// Ring geometry and timing every AF_PACKET capture shares.
+
+/// Bytes per ring block (a multiple of every Linux page size).
+inline constexpr std::size_t kBlockSize = 1u << 20;
+/// Blocks per ring.
+inline constexpr std::size_t kBlockCount = 16;
+/// Kernel block-retirement timeout: an unfilled block is handed to
+/// userspace after this long, bounding idle-traffic latency.
+inline constexpr std::uint32_t kBlockTimeoutMs = 60;
+/// poll() slice while waiting for a block; also the stop() latency
+/// bound.
+inline constexpr int kPollMs = 50;
+
 struct AfPacketConfig {
   std::string iface;
-  /// RX rings (sockets in the fanout group).
+  /// RX rings (sockets in the fanout group). The group id derives from
+  /// the pid, so unrelated captures on one interface do not collide.
   std::size_t rings = 1;
-  /// Bytes per ring block (rounded up to a page multiple).
-  std::size_t block_size = 1u << 20;
-  /// Blocks per ring.
-  std::size_t block_count = 16;
-  /// Kernel block-retirement timeout: an unfilled block is handed to
-  /// userspace after this long, bounding idle-traffic latency.
-  std::uint32_t block_timeout_ms = 60;
-  /// Fanout group id; 0 derives one from the pid so unrelated captures
-  /// on the same interface do not collide.
-  std::uint16_t fanout_group = 0;
-  /// poll() slice while waiting for a block; also the stop() latency
-  /// bound.
-  std::uint32_t poll_ms = 50;
 };
 
 class AfPacketSource final : public CaptureSource {

@@ -81,9 +81,7 @@ std::size_t CaptureLoop::step(std::size_t ring, RingScratch& scratch) {
   std::uint64_t forwarded = 0;
   std::uint64_t dropped = 0;
   for (const engines::MatchResult& r : results) {
-    bool forward = config_.default_forward;
-    if (r.has_match() && r.best < table->size()) forward = (*table)[r.best] != 0;
-    if (forward) {
+    if (r.has_match() && r.best < table->size() && (*table)[r.best] != 0) {
       ++forwarded;
     } else {
       ++dropped;

@@ -18,7 +18,7 @@
 //     table's bit r is set (rule action kForward);
 //   * a frame that parses and matches nothing, or whose winning index
 //     is transiently out of the table's range (an update raced the
-//     batch): the default_forward policy decides;
+//     batch): dropped — an inline firewall defaults to deny;
 //   * a frame that fails to parse: counted parse_failure AND dropped —
 //     an inline classifier cannot forward what it cannot classify.
 //
@@ -54,10 +54,6 @@ namespace rfipc::capture {
 struct CaptureLoopConfig {
   /// Frames classified per engine batch (and per next_batch pull).
   std::size_t batch_size = 256;
-  /// Verdict for parsed frames no rule matched (and for winners beyond
-  /// the verdict table during an update race). Inline firewalls default
-  /// deny; set true for a permissive tap.
-  bool default_forward = false;
 };
 
 class CaptureLoop {

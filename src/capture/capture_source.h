@@ -53,9 +53,9 @@ class CaptureSource {
 
   /// Fills up to out.size() frames from `ring` and returns how many.
   /// Returns 0 when nothing is available right now — the caller checks
-  /// exhausted() to tell "retry" from "end of capture". May block
-  /// briefly (AF_PACKET waits for a ready block, a paced replay sleeps
-  /// until the next frame is due) but always wakes promptly on stop().
+  /// exhausted() to tell "retry" from "end of capture". AF_PACKET may
+  /// block briefly waiting for a ready block but always wakes promptly
+  /// on stop(); a replay never blocks.
   virtual std::size_t next_batch(std::size_t ring, std::span<FrameView> out) = 0;
 
   /// True once `ring` will never produce another frame (a finite

@@ -1,7 +1,5 @@
 #include "capture/pcap_source.h"
 
-#include <thread>
-
 #include "net/packet_parser.h"
 #include "util/prng.h"
 
@@ -34,10 +32,6 @@ PcapReplaySource::PcapReplaySource(net::PcapFile file, PcapReplayConfig config,
     : file_(std::move(file)), config_(config), origin_(std::move(origin)) {
   if (config_.rings == 0) config_.rings = 1;
   rings_.resize(config_.rings);
-  if (!file_.records.empty()) {
-    ts0_us_ = static_cast<std::uint64_t>(file_.records.front().ts_sec) * 1000000 +
-              file_.records.front().ts_usec;
-  }
   for (std::size_t i = 0; i < file_.records.size(); ++i) {
     const std::size_t r =
         config_.rings == 1
@@ -56,14 +50,7 @@ PcapReplaySource PcapReplaySource::from_file(const std::string& path,
 std::string PcapReplaySource::describe() const {
   return "pcap replay " + origin_ + " (" + std::to_string(file_.records.size()) +
          " frames, linktype " + std::to_string(file_.link_type) + ", " +
-         std::to_string(rings_.size()) + " ring" + (rings_.size() == 1 ? "" : "s") +
-         (config_.paced ? ", paced" : "") + ")";
-}
-
-std::uint64_t PcapReplaySource::due_micros(const net::PcapRecord& rec) const {
-  const std::uint64_t ts =
-      static_cast<std::uint64_t>(rec.ts_sec) * 1000000 + rec.ts_usec;
-  return ts >= ts0_us_ ? ts - ts0_us_ : 0;  // clamp out-of-order stamps
+         std::to_string(rings_.size()) + (rings_.size() == 1 ? " ring)" : " rings)");
 }
 
 bool PcapReplaySource::exhausted(std::size_t ring) const {
@@ -80,10 +67,9 @@ std::size_t PcapReplaySource::next_batch(std::size_t ring,
   // Re-entry after the final pass wrapped: stay exhausted instead of
   // starting an extra pass from the reset position.
   if (config_.loops != 0 && r.passes >= config_.loops) return 0;
-  // Stop is checked once per batch (and per pacing sleep below), not
-  // per frame: a batch is bounded, so stop() latency stays under one
-  // batch, and stop() also makes exhausted() true, which ends the
-  // consumer's drain loop.
+  // Stop is checked once per batch, not per frame: a batch is bounded,
+  // so stop() latency stays under one batch, and stop() also makes
+  // exhausted() true, which ends the consumer's drain loop.
   if (stopped_.load(std::memory_order_acquire)) return 0;
   std::size_t filled = 0;
   while (filled < out.size()) {
@@ -91,29 +77,8 @@ std::size_t PcapReplaySource::next_batch(std::size_t ring,
       r.pos = 0;
       ++r.passes;
       if (config_.loops != 0 && r.passes >= config_.loops) break;
-      // A new pass restarts the pacing clock (same deltas each pass).
-      r.started = false;
     }
     const net::PcapRecord& rec = file_.records[r.order[r.pos]];
-    if (config_.paced) {
-      if (!r.started) {
-        r.start = std::chrono::steady_clock::now() -
-                  std::chrono::microseconds(due_micros(rec));
-        r.started = true;
-      }
-      const auto due = r.start + std::chrono::microseconds(due_micros(rec));
-      if (std::chrono::steady_clock::now() < due) {
-        // Frames already gathered this call ship now; otherwise sleep
-        // in short slices so stop() stays responsive.
-        if (filled > 0) break;
-        while (std::chrono::steady_clock::now() < due &&
-               !stopped_.load(std::memory_order_acquire)) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        if (stopped_.load(std::memory_order_acquire)) break;
-        continue;  // now due: emit on the next iteration
-      }
-    }
     out[filled].data = rec.frame.data();
     out[filled].len = static_cast<std::uint32_t>(rec.frame.size());
     ++filled;

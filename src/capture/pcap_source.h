@@ -8,13 +8,11 @@
 // flow land on one ring — the software analogue of PACKET_FANOUT_HASH;
 // unparseable frames hash over their raw bytes), the partition is
 // computed once at construction, and each ring replays its slice in
-// capture order. Replay can loop (a fixed pass count, or endlessly
-// until stop() for throughput benches) and can be paced to the capture
-// timestamps instead of running as fast as the consumer drains.
+// capture order, as fast as the consumer drains. Replay can loop (a
+// fixed pass count, or endlessly until stop() for throughput benches).
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -29,10 +27,6 @@ struct PcapReplayConfig {
   std::size_t rings = 1;
   /// Full passes over the capture; 0 = loop until stop().
   std::uint64_t loops = 1;
-  /// Pace the replay to the capture's record timestamps (deltas from
-  /// the first record; loops replay the same deltas). Default is
-  /// as-fast-as-possible, which is what throughput benches want.
-  bool paced = false;
 };
 
 class PcapReplaySource final : public CaptureSource {
@@ -68,17 +62,11 @@ class PcapReplaySource final : public CaptureSource {
     std::size_t pos = 0;
     /// Completed full passes (ring thread only).
     std::uint64_t passes = 0;
-    /// Paced-mode epoch: set when the ring emits its first frame.
-    std::chrono::steady_clock::time_point start{};
-    bool started = false;
   };
-
-  std::uint64_t due_micros(const net::PcapRecord& rec) const;
 
   net::PcapFile file_;
   PcapReplayConfig config_;
   std::string origin_;  // file path or "memory"
-  std::uint64_t ts0_us_ = 0;  // first record's timestamp (paced deltas)
   std::vector<Ring> rings_;
   std::atomic<bool> stopped_{false};
 };

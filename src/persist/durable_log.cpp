@@ -352,8 +352,7 @@ bool DurableLog::append_ops(std::span<const RuleOp> ops, std::string& err) {
 
   const bool by_records = cfg_.checkpoint_every_records != 0 &&
                           writer_.records() >= cfg_.checkpoint_every_records;
-  const bool by_bytes = cfg_.checkpoint_every_bytes != 0 &&
-                        writer_.bytes() >= cfg_.checkpoint_every_bytes;
+  const bool by_bytes = writer_.bytes() >= kCheckpointEveryBytes;
   if ((by_records || by_bytes) && !ckpt_pending_ && !ckpt_running_) {
     std::string rot_err;
     if (!rotate_and_request_checkpoint(rot_err)) {

@@ -51,14 +51,16 @@
 
 namespace rfipc::persist {
 
+/// Rotate + checkpoint once the active segment holds this many bytes
+/// (DurableLogConfig::checkpoint_every_records may trigger it sooner).
+inline constexpr std::uint64_t kCheckpointEveryBytes = 8u << 20;
+
 struct DurableLogConfig {
   std::string dir;  // created if absent
   FsyncPolicy fsync = FsyncPolicy::kBatch;
   /// Rotate + checkpoint once the active segment holds this many
-  /// records (0 = never by count).
+  /// records (0 = never by count), or kCheckpointEveryBytes bytes.
   std::uint64_t checkpoint_every_records = 8192;
-  /// ... or this many bytes (0 = never by size).
-  std::uint64_t checkpoint_every_bytes = 8u << 20;
   /// Archive corrupt state and start empty instead of refusing.
   bool force_empty = false;
   /// Idempotency-token window (distinct tokens remembered).

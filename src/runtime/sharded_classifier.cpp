@@ -117,10 +117,6 @@ std::shared_ptr<const engines::ClassifierEngine> ShardedClassifier::shard_engine
   return snapshot_.read()->shards[s].engine;
 }
 
-const engines::ClassifierEngine& ShardedClassifier::shard(std::size_t s) const {
-  return *snapshot_.read()->shards[s].engine;
-}
-
 bool ShardedClassifier::validate_results(std::span<const MatchResult> results,
                                          std::size_t shard_rules) const {
   for (const auto& r : results) {
@@ -176,28 +172,37 @@ void ShardedClassifier::merge(const ShardSet& snap, const FanScratch& scratch,
   }
 }
 
-void ShardedClassifier::run_shard(const FanContext& ctx, std::size_t slot) const {
-  FanScratch& scratch = *ctx.scratch;
-  const std::size_t s = scratch.eligible[slot];
-  const Shard& shard = ctx.snap->shards[s];
-  std::vector<MatchResult>& buf = scratch.local[s];
-  if (buf.size() < ctx.headers.size()) buf.resize(ctx.headers.size());
-  const std::span<MatchResult> out(buf.data(), ctx.headers.size());
+bool ShardedClassifier::run_contained(const Shard& shard,
+                                      std::span<const net::HeaderBits> headers,
+                                      std::span<MatchResult> out,
+                                      const engines::BatchOptions& opts) const {
   const auto start = std::chrono::steady_clock::now();
   bool good = true;
   try {
-    shard.engine->classify_batch(ctx.headers, out, ctx.opts);
+    shard.engine->classify_batch(headers, out, opts);
   } catch (...) {
     good = false;
   }
   if (good) good = validate_results(out, shard.engine->rule_count());
   if (!good) {
-    record_shard_fault(shard, ctx.headers.size());
-    return;  // produced[s] stays 0: merge skips this shard
+    record_shard_fault(shard, headers.size());
+    return false;
   }
   shard.health->consecutive_faults.store(0, std::memory_order_relaxed);
   stats_.record_shard_batch(shard.id, elapsed_ns(start));
-  scratch.produced[s] = 1;
+  return true;
+}
+
+void ShardedClassifier::run_shard(const FanContext& ctx, std::size_t slot) const {
+  FanScratch& scratch = *ctx.scratch;
+  const std::size_t s = scratch.eligible[slot];
+  std::vector<MatchResult>& buf = scratch.local[s];
+  if (buf.size() < ctx.headers.size()) buf.resize(ctx.headers.size());
+  const std::span<MatchResult> out(buf.data(), ctx.headers.size());
+  // A faulted shard leaves produced[s] at 0: merge skips it.
+  if (run_contained(ctx.snap->shards[s], ctx.headers, out, ctx.opts)) {
+    scratch.produced[s] = 1;
+  }
 }
 
 void ShardedClassifier::run_shard_entry(void* ctx, std::size_t slot) {
@@ -232,22 +237,9 @@ void ShardedClassifier::fan_out(const ShardSet& snap,
   // One shard owning the whole priority space needs no rebase and no
   // merge: classify straight into the caller's results on this thread.
   if (eligible.size() == 1 && snap.shards.size() == 1) {
-    const Shard& shard = snap.shards[0];
-    const auto start = std::chrono::steady_clock::now();
-    bool good = true;
-    try {
-      shard.engine->classify_batch(headers, results, opts);
-    } catch (...) {
-      good = false;
-    }
-    if (good) good = validate_results(results, shard.engine->rule_count());
-    if (!good) {
-      record_shard_fault(shard, headers.size());
+    if (!run_contained(snap.shards[0], headers, results, opts)) {
       for (auto& r : results) r.reset_for(snap.bases.back(), opts.want_multi);
-      return;
     }
-    shard.health->consecutive_faults.store(0, std::memory_order_relaxed);
-    stats_.record_shard_batch(shard.id, elapsed_ns(start));
     return;
   }
 
@@ -394,11 +386,11 @@ std::size_t ShardedClassifier::owning_shard(const std::vector<std::size_t>& base
 }
 
 bool ShardedClassifier::insert_rule(std::size_t index, const ruleset::Rule& rule) {
-  return wait_update(submit_insert(index, rule));
+  return submit_insert(index, rule).get();
 }
 
 bool ShardedClassifier::erase_rule(std::size_t index) {
-  return wait_update(submit_erase(index));
+  return submit_erase(index).get();
 }
 
 std::future<bool> ShardedClassifier::submit_insert(std::size_t index,
@@ -413,19 +405,6 @@ std::future<bool> ShardedClassifier::submit_erase(std::size_t index,
 }
 
 void ShardedClassifier::flush_updates() { queue_->flush(); }
-
-bool ShardedClassifier::wait_update(std::future<bool> f) const {
-  if (config_.update_timeout_ms == 0) return f.get();
-  // One absolute deadline, computed up front: however often the wait
-  // wakes spuriously (or the implementation re-arms internally), the
-  // effective timeout can never stretch past update_timeout_ms.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(config_.update_timeout_ms);
-  if (f.wait_until(deadline) != std::future_status::ready) {
-    return false;  // still queued; may apply later
-  }
-  return f.get();
-}
 
 void ShardedClassifier::patch_engine(
     Working& w, std::size_t s,
@@ -569,8 +548,8 @@ void ShardedClassifier::apply_batch(std::vector<UpdateQueue::Pending>& batch) {
 void ShardedClassifier::schedule_rebuild(std::size_t id, std::uint32_t attempt) const {
   const FailurePolicy& pol = config_.failure;
   double delay_ms = static_cast<double>(pol.backoff_initial_ms) *
-                    std::pow(pol.backoff_factor, static_cast<double>(attempt));
-  const double max_ms = static_cast<double>(pol.backoff_max_ms);
+                    std::pow(kRebuildBackoffFactor, static_cast<double>(attempt));
+  const double max_ms = static_cast<double>(kRebuildBackoffMaxMs);
   if (!(delay_ms <= max_ms)) delay_ms = max_ms;  // also catches NaN/inf
   const auto when = std::chrono::steady_clock::now() +
                     std::chrono::milliseconds(static_cast<std::int64_t>(delay_ms));

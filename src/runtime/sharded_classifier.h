@@ -71,16 +71,19 @@
 
 namespace rfipc::runtime {
 
+/// Rebuild backoff growth per failed attempt, and its ceiling.
+inline constexpr double kRebuildBackoffFactor = 2.0;
+inline constexpr std::uint32_t kRebuildBackoffMaxMs = 1000;
+
 /// What to do about a shard that keeps faulting.
 struct FailurePolicy {
   /// Consecutive faults before a shard is quarantined (min 1).
   std::size_t quarantine_after = 4;
   /// Rebuild quarantined shards in the background and reinstate them.
   bool rebuild = true;
-  /// Exponential backoff between rebuild attempts.
+  /// First delay between rebuild attempts; each failure multiplies it
+  /// by kRebuildBackoffFactor, up to kRebuildBackoffMaxMs.
   std::uint32_t backoff_initial_ms = 10;
-  double backoff_factor = 2.0;
-  std::uint32_t backoff_max_ms = 1000;
   /// Factory spec used for the rebuilt engine; empty = engine_spec.
   /// Point this at a healthy spec to model swapping out bad hardware.
   std::string rebuild_spec;
@@ -112,11 +115,6 @@ struct ShardedConfig {
   std::size_t reserved_cores = 0;
   /// Shard failure containment knobs.
   FailurePolicy failure;
-  /// How long the synchronous insert_rule/erase_rule wrappers wait for
-  /// publication; 0 = indefinitely. On timeout they return false even
-  /// though the op stays queued and may still apply later — callers
-  /// needing exact completion should use submit_* futures directly.
-  std::uint32_t update_timeout_ms = 0;
   /// Exact-match flow-cache slots fronting the shard fan-out (rounded
   /// up to a power of two); 0 disables the cache.
   std::size_t flow_cache_capacity = 0;
@@ -152,8 +150,8 @@ class ShardedClassifier final : public engines::ClassifierEngine {
   using engines::ClassifierEngine::classify_batch;
 
   /// Synchronous update wrappers: route through the update plane and
-  /// wait (up to update_timeout_ms) for the publishing snapshot swap.
-  /// Safe to call concurrently with lookups and with each other.
+  /// wait for the publishing snapshot swap. Safe to call concurrently
+  /// with lookups and with each other.
   bool insert_rule(std::size_t index, const ruleset::Rule& rule) override;
   bool erase_rule(std::size_t index) override;
 
@@ -171,9 +169,6 @@ class ShardedClassifier final : public engines::ClassifierEngine {
   std::size_t shard_size(std::size_t s) const;
   /// Pins shard s's engine; safe to hold across concurrent updates.
   std::shared_ptr<const engines::ClassifierEngine> shard_engine(std::size_t s) const;
-  /// Borrowed view of shard s's engine. Only valid while no update can
-  /// retire the shard — use shard_engine() when updates may be live.
-  const engines::ClassifierEngine& shard(std::size_t s) const;
 
   /// The exact-match front end, or nullptr when disabled.
   const flow::FlowCache* flow_cache() const { return cache_.get(); }
@@ -264,6 +259,14 @@ class ShardedClassifier final : public engines::ClassifierEngine {
   void fan_out(const ShardSet& snap, std::span<const net::HeaderBits> headers,
                std::span<engines::MatchResult> results,
                const engines::BatchOptions& opts, FanScratch& scratch) const;
+  /// Runs `shard`'s engine on `headers` into `out` under fault
+  /// containment: a throw or an out-of-range result charges the shard
+  /// a fault (quarantining it after quarantine_after in a row); a good
+  /// batch clears its fault streak and records its latency. Returns
+  /// whether `out` holds valid results.
+  bool run_contained(const Shard& shard, std::span<const net::HeaderBits> headers,
+                     std::span<engines::MatchResult> out,
+                     const engines::BatchOptions& opts) const;
   /// Classifies eligible shard slot `slot` into its scratch buffer.
   void run_shard(const FanContext& ctx, std::size_t slot) const;
   /// ShardWorkerPool task trampoline: ctx is a FanContext.
@@ -283,8 +286,6 @@ class ShardedClassifier final : public engines::ClassifierEngine {
                     const std::function<bool(engines::ClassifierEngine&)>& patch);
   void schedule_rebuild(std::size_t id, std::uint32_t attempt) const;
   void rebuild_shard(std::size_t id, std::uint32_t attempt);
-
-  bool wait_update(std::future<bool> f) const;
 
   ShardedConfig config_;
   mutable RuntimeStats stats_;

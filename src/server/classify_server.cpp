@@ -29,7 +29,7 @@ ClassifyServer::ClassifyServer(runtime::ShardedClassifier& classifier,
   loop_.add(listen_fd_, EventLoop::kRead, [this](std::uint32_t) { on_accept(); });
   loop_.add_notifier(update_notifier_, [this] { on_updates_completed(); });
   loop_.add_notifier(drain_notifier_, [this] { begin_drain(); });
-  loop_.add_timer(std::chrono::milliseconds(config_.tick_ms), [this] { on_tick(); });
+  loop_.add_timer(kMaintenanceTick, [this] { on_tick(); });
   waiter_ = std::thread([this] { waiter_loop(); });
 }
 
@@ -91,7 +91,7 @@ void ClassifyServer::on_accept() {
       if (errno == EINTR) continue;
       return;  // transient accept failure; the listener stays armed
     }
-    if (draining_ || conns_.size() >= config_.max_connections) {
+    if (draining_ || conns_.size() >= kMaxConnections) {
       shed_.fetch_add(1, std::memory_order_relaxed);
       ::close(fd);
       continue;
@@ -105,7 +105,6 @@ void ClassifyServer::on_accept() {
     auto conn = std::make_unique<Connection>();
     conn->fd = fd;
     conn->serial = next_serial_++;
-    conn->frames = wire::FrameAssembler(config_.max_frame_bytes);
     conn->last_activity = std::chrono::steady_clock::now();
     conns_.emplace(fd, std::move(conn));
     loop_.add(fd, EventLoop::kRead,
@@ -257,7 +256,7 @@ void ClassifyServer::handle_update(Connection& conn, const wire::Request& req) {
       return;
     }
   }
-  if (outstanding_updates_ >= config_.max_pending_updates) {
+  if (outstanding_updates_ >= kMaxPendingUpdates) {
     shed(conn, req, "too many pending updates");
     return;
   }
@@ -296,7 +295,7 @@ void ClassifyServer::enqueue_response(Connection& conn, const wire::Response& rs
   flush_out(conn);
   const auto it = conns_.find(fd);
   if (it == conns_.end()) return;
-  if (it->second->out.size() - it->second->out_pos > config_.outbound_hard_limit) {
+  if (it->second->out.size() - it->second->out_pos > kOutboundHardLimit) {
     // The peer has stopped reading far past the shedding watermark:
     // drop it rather than buffer without bound.
     shed_.fetch_add(1, std::memory_order_relaxed);
@@ -418,12 +417,10 @@ void ClassifyServer::on_tick() {
     if (now >= drain_deadline_) loop_.stop();
     return;
   }
-  if (config_.idle_timeout_ms == 0) return;
-  const auto limit = std::chrono::milliseconds(config_.idle_timeout_ms);
   std::vector<int> idle;
   for (const auto& [fd, conn] : conns_) {
     if (conn->pending_updates > 0 || conn->out_pos < conn->out.size()) continue;
-    if (now - conn->last_activity > limit) idle.push_back(fd);
+    if (now - conn->last_activity > kIdleTimeout) idle.push_back(fd);
   }
   for (const int fd : idle) close_connection(fd);
 }
@@ -431,8 +428,7 @@ void ClassifyServer::on_tick() {
 void ClassifyServer::begin_drain() {
   if (draining_) return;
   draining_ = true;
-  drain_deadline_ = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(config_.drain_timeout_ms);
+  drain_deadline_ = std::chrono::steady_clock::now() + kDrainTimeout;
   if (listen_fd_ >= 0) {
     loop_.remove(listen_fd_);
     ::close(listen_fd_);

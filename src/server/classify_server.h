@@ -18,22 +18,23 @@
 //   A client that stops reading stops being served: once its queue
 //   passes `outbound_watermark` further CLASSIFY_BATCHes get a SHED
 //   reply (a few bytes) instead of a result frame, and past
-//   `outbound_hard_limit` the connection is dropped as overloaded.
+//   kOutboundHardLimit the connection is dropped as overloaded.
 // * Admission control / load shedding — at most `max_inflight_batches`
 //   classify replies may be queued-but-unflushed across all
-//   connections and at most `max_pending_updates` update futures
+//   connections and at most kMaxPendingUpdates update futures
 //   outstanding; over-limit requests receive an explicit SHED error
 //   (never a timeout, never unbounded buffering) and the shed counter
 //   in StatsSnapshot::server increments.
-// * Idle reaping — connections silent for `idle_timeout_ms` are closed
-//   by the maintenance timer.
+// * Idle reaping — connections silent for kIdleTimeout are closed by
+//   the maintenance timer.
 // * Graceful drain — request_drain() (async-signal-safe; wire it to
 //   SIGTERM) stops accepting, stops reading, flushes every outbound
 //   queue, waits for in-flight updates to publish and reply, then
-//   stops the loop; `drain_timeout_ms` bounds the wait.
+//   stops the loop; kDrainTimeout bounds the wait.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -62,30 +63,35 @@ namespace rfipc::server {
 /// runs slower than serial (the BENCH_runtime.json inversion).
 inline constexpr std::size_t kServiceThreads = 2;
 
+// Serving limits every deployment shares (requests are bounded by
+// wire::kMaxFrameBytes).
+
+/// Connections accepted beyond this are closed at once (counted shed).
+inline constexpr std::size_t kMaxConnections = 256;
+/// Update futures outstanding (global) before further updates shed.
+inline constexpr std::size_t kMaxPendingUpdates = 1024;
+/// Per-connection outbound bytes above which the connection drops.
+inline constexpr std::size_t kOutboundHardLimit = 4u << 20;
+/// Connections silent this long are reaped.
+inline constexpr std::chrono::milliseconds kIdleTimeout{60'000};
+/// Maintenance timer period (reaping, drain watchdog).
+inline constexpr std::chrono::milliseconds kMaintenanceTick{100};
+/// Upper bound on a graceful drain before the loop stops regardless.
+inline constexpr std::chrono::milliseconds kDrainTimeout{5'000};
+
 struct ServerConfig {
   std::string host = "127.0.0.1";
   /// 0 = ephemeral; read the bound port back via port().
   std::uint16_t port = 0;
-  std::size_t max_connections = 256;
-  std::size_t max_frame_bytes = wire::kMaxFrameBytes;
   /// Admission control: classify replies queued-but-unflushed (global).
   std::size_t max_inflight_batches = 64;
-  /// Admission control: update futures outstanding (global).
-  std::size_t max_pending_updates = 1024;
-  /// Per-connection outbound bytes above which classify requests shed.
+  /// Per-connection outbound bytes above which classify requests shed
+  /// (keep it below kOutboundHardLimit).
   std::size_t outbound_watermark = 1u << 20;
-  /// Per-connection outbound bytes above which the connection drops.
-  std::size_t outbound_hard_limit = 4u << 20;
   /// SO_SNDBUF for accepted sockets; 0 keeps the kernel default. Tests
   /// shrink it so backpressure trips without megabytes of kernel
   /// buffering in the way.
   std::size_t so_sndbuf = 0;
-  /// Idle-connection reaping; 0 disables.
-  std::uint32_t idle_timeout_ms = 60'000;
-  /// Maintenance timer period (reaping, drain watchdog).
-  std::uint32_t tick_ms = 100;
-  /// Upper bound on a graceful drain before the loop stops regardless.
-  std::uint32_t drain_timeout_ms = 5'000;
   /// Write-ahead journal backing the ruleset, or nullptr for a
   /// memory-only server. NOT owned; must outlive the server. The owner
   /// (rfipcd) also installs the matching ShardedConfig durability_hook

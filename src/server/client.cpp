@@ -248,10 +248,8 @@ bool ClassifyClient::roundtrip_once(const wire::Request& req, wire::Response& rs
 
 void ClassifyClient::backoff_sleep(std::uint32_t attempt) {
   std::uint64_t delay = opts_.backoff_initial_ms;
-  for (std::uint32_t i = 0; i < attempt && delay < opts_.backoff_max_ms; ++i) {
-    delay *= 2;
-  }
-  if (delay > opts_.backoff_max_ms) delay = opts_.backoff_max_ms;
+  for (std::uint32_t i = 0; i < attempt && delay < kRetryBackoffMaxMs; ++i) delay *= 2;
+  if (delay > kRetryBackoffMaxMs) delay = kRetryBackoffMaxMs;
   if (delay == 0) return;
   // Full jitter in [0, delay): retry herds decorrelate instead of
   // hammering a recovering server in lockstep.

@@ -40,6 +40,9 @@
 
 namespace rfipc::server {
 
+/// Ceiling on the delay between retry attempts.
+inline constexpr std::uint32_t kRetryBackoffMaxMs = 2'000;
+
 struct ClientOptions {
   /// Bound on one TCP connect attempt. 0 = wait forever (discouraged).
   std::uint32_t connect_timeout_ms = 2'000;
@@ -48,9 +51,8 @@ struct ClientOptions {
   /// Re-attempts after the first try (0 = fail fast on first error).
   std::uint32_t max_retries = 3;
   /// Exponential backoff between attempts: initial * 2^attempt, capped
-  /// at max, plus uniform jitter in [0, delay) to spread herds.
+  /// at kRetryBackoffMaxMs, plus uniform jitter in [0, delay) to spread herds.
   std::uint32_t backoff_initial_ms = 50;
-  std::uint32_t backoff_max_ms = 2'000;
   /// Reconnect automatically inside a call after a transport failure.
   /// Off = a broken connection fails the call (tests, strict tools).
   bool auto_reconnect = true;

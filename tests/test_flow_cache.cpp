@@ -290,7 +290,11 @@ TEST(FlowCacheRuntime, ConcurrentReadersNeverSeeTornOrPostUpdateStaleState) {
     EXPECT_FALSE(r.has_match());
     EXPECT_EQ(r.multi.size(), kBase);
   }
-  EXPECT_GE(sc.stats_snapshot().cache_invalidations, 2u);
+  // Every packet consults the cache exactly once, hit or miss, even
+  // with readers racing the invalidations.
+  const runtime::StatsSnapshot snap = sc.stats_snapshot();
+  EXPECT_GE(snap.cache_invalidations, 2u);
+  EXPECT_EQ(snap.cache_hits + snap.cache_misses, snap.packets);
 }
 
 }  // namespace

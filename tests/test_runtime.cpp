@@ -7,7 +7,6 @@
 // count what actually happened.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <vector>
 
 #include "engines/common/factory.h"
@@ -248,30 +247,6 @@ TEST(ShardedClassifier, WorkerDigestsAppearInStats) {
   const ShardedClassifier serial(rules, serial_cfg);
   serial.classify_batch(headers, out);
   EXPECT_TRUE(serial.stats_snapshot().workers.empty());
-}
-
-// Satellite: the update wait computes ONE absolute deadline up front
-// (f.wait_until), so spurious wakeups can't stretch update_timeout_ms
-// into multiples of itself. Observable contract: a healthy queue
-// resolves inside even a tight budget, and the synchronous wrappers
-// stay exact under a timeout config.
-TEST(ShardedClassifier, TimedUpdateWaitResolvesOnHealthyQueue) {
-  auto mirror = ruleset::generate_firewall(24, 51);
-  ShardedConfig cfg;
-  cfg.shards = 2;
-  cfg.update_timeout_ms = 2'000;
-  ShardedClassifier sc(mirror, cfg);
-  const auto t0 = std::chrono::steady_clock::now();
-  ASSERT_TRUE(sc.insert_rule(0, ruleset::Rule::any()));
-  mirror.insert(0, ruleset::Rule::any());
-  ASSERT_TRUE(sc.erase_rule(5));
-  mirror.erase(5);
-  // Two waits, one deadline each: nowhere near 2x the budget.
-  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(4));
-  const engines::LinearSearchEngine golden(mirror);
-  for (const auto& h : packed_trace(mirror, 60, 52)) {
-    ASSERT_EQ(sc.classify(h).best, golden.classify(h).best);
-  }
 }
 
 TEST(LatencyHistogramTest, QuantilesAreMonotoneAndBucketed) {
