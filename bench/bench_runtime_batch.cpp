@@ -79,8 +79,7 @@ int main() {
                  util::fmt_double(batched_rate / 1e6, 3),
                  util::fmt_double(batched_rate / per_packet_rate, 2), "-", "-"});
 
-  // Wide batches amortize the scratch arena further and give the
-  // prefetch pipeline a longer run.
+  // Wide batches amortize the scratch arena further.
   const auto t1w = std::chrono::steady_clock::now();
   for (std::size_t off = 0; off < kPackets; off += kBatchWide) {
     const std::size_t len = std::min(kBatchWide, kPackets - off);

@@ -22,7 +22,10 @@
 # large_n leg — prefilter >= 4x raw StrideBV at N=16384 — captured
 # into BENCH_runtime.json, alongside the bench_expansion lowering
 # rows and the bench_capture capture-vs-wire rows with their >= 2x
-# gate). Local
+# gate), then the benchmark self-test (perfbench/selftest.py: every
+# workload's timed and traced runs at small sizes must be correct and
+# carry exactly the metrics BENCHMARK.json names, and a run with one
+# corrupted reference answer must fail). Local
 # runs and the GitHub Actions workflow (.github/workflows/ci.yml) gate
 # on the exact same scripts, so a green local run is a green CI run.
 set -euo pipefail
@@ -99,3 +102,7 @@ echo "interchange_smoke: 4 formats round-tripped, ${#bad_programs[@]} bad progra
 echo
 echo "== ci.sh: bench smoke (perf gates, incl. reduced-N large_n leg) =="
 scripts/bench_smoke.sh
+
+echo
+echo "== ci.sh: benchmark self-test (perfbench/selftest.py) =="
+python3 perfbench/selftest.py

@@ -28,10 +28,6 @@ struct ScratchArena {
   util::BitVector entry_bv;
   /// Per-stage stage-memory row pointers for the packet being ANDed.
   std::vector<const std::uint64_t*> rows;
-  /// Row pointers for the NEXT packet (software pipelining: computed a
-  /// packet ahead so the rows can be prefetched while the current
-  /// packet's AND chain runs).
-  std::vector<const std::uint64_t*> rows_ahead;
   /// Compacted headers (runtime flow-cache miss path).
   std::vector<net::HeaderBits> headers;
   /// Indices back into the caller's span for the compacted headers.

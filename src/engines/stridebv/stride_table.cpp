@@ -70,6 +70,25 @@ std::size_t StrideTable::append_entry(const ruleset::TernaryWord& entry) {
   return index;
 }
 
+void StrideTable::rows_for(const net::HeaderBits& header,
+                           const std::uint64_t** rows) const {
+  // The 13 header bytes as a left-aligned 128-bit key (hi:lo); each
+  // stage peels the top k bits. The zero bits below bit 104 are the
+  // padding the last stage reads for every k in 1..8.
+  const auto& bytes = header.bytes();
+  std::uint64_t hi = 0;
+  std::uint64_t lo = 0;
+  for (unsigned i = 0; i < 8; ++i) hi = (hi << 8) | bytes[i];
+  for (unsigned i = 8; i < bytes.size(); ++i) lo = (lo << 8) | bytes[i];
+  lo <<= 24;
+  const util::BitVector* stage = table_.data();
+  for (unsigned s = 0; s < num_stages_; ++s, stage += vectors_per_stage()) {
+    rows[s] = stage[hi >> (64 - k_)].words().data();
+    hi = (hi << k_) | (lo >> (64 - k_));
+    lo <<= k_;
+  }
+}
+
 std::uint64_t StrideTable::memory_bits() const {
   return static_cast<std::uint64_t>(num_stages_) * vectors_per_stage() * width_;
 }

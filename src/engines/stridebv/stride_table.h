@@ -63,6 +63,11 @@ class StrideTable {
     return header.stride(stage * k_, k_);
   }
 
+  /// Decodes `header` once and points rows[s] at the words of
+  /// bv(s, stride_value(header, s)) for every stage; `rows` holds
+  /// num_stages() pointers.
+  void rows_for(const net::HeaderBits& header, const std::uint64_t** rows) const;
+
  private:
   util::BitVector& bv_mut(unsigned stage, std::uint32_t value) {
     return table_[stage * vectors_per_stage() + value];

@@ -56,13 +56,12 @@ std::string StrideBVEngine::name() const {
 util::BitVector StrideBVEngine::match_entries(const net::HeaderBits& header) const {
   // BVP enters stage 0 as all-ones (Figure 2); each stage ANDs the
   // vector its stride value addresses in stage memory. Erased columns
-  // are all-zero in every stage, so they drop out at stage 0. Once the
-  // partial vector is all-zero no later stage can resurrect a bit, so
-  // the walk stops — the common case for non-matching traffic.
-  util::BitVector bv(entries_.size(), true);
-  for (unsigned s = 0; s < table_.num_stages(); ++s) {
-    if (bv.none_and_with(table_.bv(s, table_.stride_value(header, s)))) break;
-  }
+  // are all-zero in every stage, so they drop out at stage 0.
+  util::BitVector bv(entries_.size());
+  std::vector<const std::uint64_t*> rows(table_.num_stages());
+  table_.rows_for(header, rows.data());
+  util::simd::active().and_rows_into(bv.words().data(), rows.data(), rows.size(),
+                                     bv.words().size());
   return bv;
 }
 
@@ -108,44 +107,23 @@ void StrideBVEngine::classify_batch(std::span<const net::HeaderBits> headers,
   }
   if (headers.empty()) return;
   // Zero-allocation inner loop: one ScratchArena per call holds the
-  // partial-match vector and the per-stage row pointers; the SIMD
-  // multi-row AND kernel folds all stages in one dispatch, exiting
-  // early when the partial vector goes all-zero. Priority extraction
-  // is the word-scan fold (functionally identical to the staged PPE,
-  // which models hardware structure, not software speed).
+  // partial-match vector and the per-stage row pointers. Each header is
+  // decoded once into its stage rows, and the SIMD kernel ANDs them
+  // column-blocked, dropping a block once it is all-zero. Priority
+  // extraction is the word-scan fold (functionally identical to the
+  // staged PPE, which models hardware structure, not software speed).
   const unsigned stages = table_.num_stages();
   const std::size_t words = util::ceil_div(entries_.size(), util::kWordBits);
   const auto& kernels = util::simd::active();
   ScratchArena arena;
   arena.entry_bv.assign_zeros(entries_.size());
   arena.rows.resize(stages);
-  arena.rows_ahead.resize(stages);
   std::uint64_t* dst = arena.entry_bv.words().data();
-
-  // Gathers the stage rows one packet ahead and prefetches their
-  // leading cache lines, so stage memory for packet p+1 streams in
-  // while packet p's AND chain executes.
-  const auto gather = [&](const net::HeaderBits& h, const std::uint64_t** rows,
-                          bool prefetch) {
-    const std::size_t bytes = words * sizeof(std::uint64_t);
-    for (unsigned s = 0; s < stages; ++s) {
-      rows[s] = table_.bv(s, table_.stride_value(h, s)).words().data();
-      if (prefetch) {
-        const char* line = reinterpret_cast<const char*>(rows[s]);
-        for (std::size_t off = 0; off < bytes && off < 256; off += 64) {
-          __builtin_prefetch(line + off, 0, 1);
-        }
-      }
-    }
-  };
-
-  gather(headers[0], arena.rows.data(), false);
   for (std::size_t p = 0; p < headers.size(); ++p) {
-    if (p + 1 < headers.size()) gather(headers[p + 1], arena.rows_ahead.data(), true);
+    table_.rows_for(headers[p], arena.rows.data());
     const bool any = kernels.and_rows_into(dst, arena.rows.data(), stages, words);
     results[p].reset_for(rules_.size(), opts.want_multi);
     if (any) fold_entries(arena.entry_bv, results[p], opts.want_multi);
-    std::swap(arena.rows, arena.rows_ahead);
   }
 }
 

@@ -43,10 +43,10 @@ class StrideBVEngine final : public ClassifierEngine {
   bool supports_update() const override { return true; }
 
   MatchResult classify(const net::HeaderBits& header) const override;
-  /// Vectorized batch path: SIMD-dispatched multi-row AND kernels over
-  /// a per-call ScratchArena (zero heap traffic per packet), early exit
-  /// once the partial vector is all-zero, and stage rows prefetched one
-  /// packet ahead.
+  /// Vectorized batch path over a per-call ScratchArena (zero heap
+  /// traffic per packet): each header is decoded once into its stage
+  /// rows (StrideTable::rows_for), which the SIMD kernel ANDs
+  /// column-blocked, dropping each block once it is all-zero.
   void classify_batch(std::span<const net::HeaderBits> headers,
                       std::span<MatchResult> results,
                       const BatchOptions& opts) const override;
@@ -90,7 +90,7 @@ class StrideBVEngine final : public ClassifierEngine {
   static constexpr std::size_t kFreeSlot = static_cast<std::size_t>(-1);
 
   /// The raw multi-match ENTRY vector for a header (before folding onto
-  /// rules) — exposed for the cycle-level pipeline simulation and tests.
+  /// rules): the same stage walk as classify_batch, one header at a time.
   util::BitVector match_entries(const net::HeaderBits& header) const;
 
  private:

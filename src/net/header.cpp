@@ -11,8 +11,8 @@ std::string FiveTuple::to_string() const {
 HeaderBits::HeaderBits(const FiveTuple& t) {
   // Every field of the canonical layout is byte-aligned (32|32|16|16|8),
   // so packing is thirteen big-endian byte stores — this runs once per
-  // captured frame on the inline data plane, where the generic
-  // bit-by-bit put() was the hottest instruction stream in the loop.
+  // captured frame on the inline data plane, where generic bit-by-bit
+  // packing was the hottest instruction stream in the loop.
   bytes_[0] = static_cast<std::uint8_t>(t.src_ip.value >> 24);
   bytes_[1] = static_cast<std::uint8_t>(t.src_ip.value >> 16);
   bytes_[2] = static_cast<std::uint8_t>(t.src_ip.value >> 8);
@@ -28,39 +28,27 @@ HeaderBits::HeaderBits(const FiveTuple& t) {
   bytes_[12] = t.protocol;
 }
 
-void HeaderBits::put(unsigned offset, unsigned width, std::uint32_t value) {
-  for (unsigned i = 0; i < width; ++i) {
-    const bool b = (value >> (width - 1 - i)) & 1u;
-    const unsigned pos = offset + i;
-    if (b) bytes_[pos >> 3] |= static_cast<std::uint8_t>(1u << (7 - (pos & 7)));
-  }
-}
-
-std::uint32_t HeaderBits::stride(unsigned offset, unsigned k) const {
-  std::uint32_t v = 0;
-  for (unsigned i = 0; i < k; ++i) {
-    const unsigned pos = offset + i;
-    const bool b = pos < kHeaderBits && bit(pos);
-    v = (v << 1) | static_cast<std::uint32_t>(b);
-  }
-  return v;
-}
-
 std::uint32_t HeaderBits::field(FieldLayout f) const {
-  std::uint32_t v = 0;
-  for (unsigned i = 0; i < f.width; ++i) {
-    v = (v << 1) | static_cast<std::uint32_t>(bit(f.offset + i));
-  }
-  return v;
+  // A field of width <= 32 spans at most 5 bytes.
+  std::uint64_t window = 0;
+  for (unsigned i = 0; i < 5; ++i) window = (window << 8) | byte_at((f.offset >> 3) + i);
+  return static_cast<std::uint32_t>((window >> (40 - (f.offset & 7) - f.width)) &
+                                    ((std::uint64_t{1} << f.width) - 1));
 }
 
 FiveTuple HeaderBits::unpack() const {
+  // The inverse of the packing constructor: big-endian byte loads.
+  const auto be = [this](unsigned i, unsigned n) {
+    std::uint32_t v = 0;
+    for (unsigned j = 0; j < n; ++j) v = (v << 8) | bytes_[i + j];
+    return v;
+  };
   FiveTuple t;
-  t.src_ip.value = field(kSipField);
-  t.dst_ip.value = field(kDipField);
-  t.src_port = static_cast<std::uint16_t>(field(kSpField));
-  t.dst_port = static_cast<std::uint16_t>(field(kDpField));
-  t.protocol = static_cast<std::uint8_t>(field(kPrtField));
+  t.src_ip.value = be(0, 4);
+  t.dst_ip.value = be(4, 4);
+  t.src_port = static_cast<std::uint16_t>(be(8, 2));
+  t.dst_port = static_cast<std::uint16_t>(be(10, 2));
+  t.protocol = bytes_[12];
   return t;
 }
 

@@ -68,8 +68,13 @@ class HeaderBits {
   /// exceed 104; missing bits read as zero — this models the zero-padded
   /// final stage of a StrideBV pipeline). First bit becomes the MSB of
   /// the returned value, so strides order values the same way the header
-  /// string does. k must be <= 16.
-  std::uint32_t stride(unsigned offset, unsigned k) const;
+  /// string does. k must be <= 16, so the window spans at most 3 bytes.
+  std::uint32_t stride(unsigned offset, unsigned k) const {
+    const unsigned i = offset >> 3;
+    const std::uint32_t window =
+        (byte_at(i) << 16) | (byte_at(i + 1) << 8) | byte_at(i + 2);
+    return (window >> (24 - (offset & 7) - k)) & ((1u << k) - 1);
+  }
 
   /// Value of bits [offset, offset+width) as an integer, width <= 32.
   std::uint32_t field(FieldLayout f) const;
@@ -82,7 +87,8 @@ class HeaderBits {
   bool operator==(const HeaderBits&) const = default;
 
  private:
-  void put(unsigned offset, unsigned width, std::uint32_t value);
+  /// Byte i of the packed header; bytes past the end read as zero.
+  std::uint32_t byte_at(unsigned i) const { return i < bytes_.size() ? bytes_[i] : 0u; }
 
   std::array<std::uint8_t, 13> bytes_{};
 };

@@ -42,13 +42,6 @@ void BitVector::and_with(const BitVector& other) {
   simd::active().and_into(words_.data(), other.words_.data(), words_.size());
 }
 
-bool BitVector::none_and_with(const BitVector& other) {
-  if (other.size_ != size_) {
-    throw std::invalid_argument("BitVector::none_and_with: size mismatch");
-  }
-  return !simd::active().and_into(words_.data(), other.words_.data(), words_.size());
-}
-
 void BitVector::or_with(const BitVector& other) {
   if (other.size_ != size_) throw std::invalid_argument("BitVector::or_with: size mismatch");
   for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];

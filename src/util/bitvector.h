@@ -53,10 +53,6 @@ class BitVector {
 
   /// Destructive bitwise AND with `other`. Sizes must match.
   void and_with(const BitVector& other);
-  /// Destructive bitwise AND with `other` that also reports whether the
-  /// result is all-zero — the early-exit probe of the stage loop (an
-  /// all-zero partial vector can never match again). Sizes must match.
-  bool none_and_with(const BitVector& other);
   /// Destructive bitwise OR with `other`. Sizes must match.
   void or_with(const BitVector& other);
   /// Destructive bitwise XOR with `other`. Sizes must match.

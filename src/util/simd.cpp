@@ -15,42 +15,27 @@ namespace {
 // Scalar reference kernels.
 // ---------------------------------------------------------------------------
 
-bool scalar_and_into(std::uint64_t* dst, const std::uint64_t* src, std::size_t words) {
-  std::uint64_t nonzero = 0;
-  for (std::size_t w = 0; w < words; ++w) {
-    dst[w] &= src[w];
-    nonzero |= dst[w];
-  }
-  return nonzero != 0;
+void scalar_and_into(std::uint64_t* dst, const std::uint64_t* src, std::size_t words) {
+  for (std::size_t w = 0; w < words; ++w) dst[w] &= src[w];
+}
+
+/// Word w of rows[0] & ... & rows[k-1]. An AND can never resurrect a
+/// bit, so the remaining rows are skipped once the word is all-zero.
+inline std::uint64_t and_column(const std::uint64_t* const* rows, std::size_t k,
+                                std::size_t w) {
+  std::uint64_t acc = rows[0][w];
+  for (std::size_t r = 1; r < k && acc != 0; ++r) acc &= rows[r][w];
+  return acc;
 }
 
 bool scalar_and_rows_into(std::uint64_t* dst, const std::uint64_t* const* rows,
                           std::size_t k, std::size_t words) {
+  // Column-blocked: every row's word w is read before dst[w] is stored,
+  // which is what makes rows[i] == dst safe.
   std::uint64_t nonzero = 0;
-  if (k == 1) {
-    for (std::size_t w = 0; w < words; ++w) {
-      dst[w] = rows[0][w];
-      nonzero |= dst[w];
-    }
-    return nonzero != 0;
-  }
-  // First pass fuses rows 0 and 1 (one store instead of two); each later
-  // row folds into dst, bailing out the moment the partial is all-zero —
-  // an AND can never resurrect a bit, so the remaining rows are moot.
-  const std::uint64_t* a = rows[0];
-  const std::uint64_t* b = rows[1];
   for (std::size_t w = 0; w < words; ++w) {
-    dst[w] = a[w] & b[w];
+    dst[w] = and_column(rows, k, w);
     nonzero |= dst[w];
-  }
-  for (std::size_t r = 2; r < k; ++r) {
-    if (nonzero == 0) return false;
-    nonzero = 0;
-    const std::uint64_t* row = rows[r];
-    for (std::size_t w = 0; w < words; ++w) {
-      dst[w] &= row[w];
-      nonzero |= dst[w];
-    }
   }
   return nonzero != 0;
 }
@@ -81,61 +66,38 @@ constexpr Kernels kScalar{"scalar", scalar_and_into, scalar_and_rows_into,
 // ---------------------------------------------------------------------------
 
 __attribute__((target("avx2")))
-bool avx2_and_into(std::uint64_t* dst, const std::uint64_t* src, std::size_t words) {
+void avx2_and_into(std::uint64_t* dst, const std::uint64_t* src, std::size_t words) {
   std::size_t w = 0;
-  __m256i acc = _mm256_setzero_si256();
   for (; w + 4 <= words; w += 4) {
     const __m256i d = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + w));
     const __m256i s = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + w));
-    const __m256i r = _mm256_and_si256(d, s);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w), r);
-    acc = _mm256_or_si256(acc, r);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w), _mm256_and_si256(d, s));
   }
-  std::uint64_t nonzero = _mm256_testz_si256(acc, acc) ? 0 : 1;
-  for (; w < words; ++w) {
-    dst[w] &= src[w];
-    nonzero |= dst[w];
-  }
-  return nonzero != 0;
+  for (; w < words; ++w) dst[w] &= src[w];
 }
 
 __attribute__((target("avx2")))
 bool avx2_and_rows_into(std::uint64_t* dst, const std::uint64_t* const* rows,
                         std::size_t k, std::size_t words) {
+  // The scalar kernel's column-blocked walk, one 4-word block at a time.
   std::size_t w = 0;
-  __m256i acc = _mm256_setzero_si256();
-  std::uint64_t tail_nonzero = 0;
-  if (k == 1) {
-    for (; w + 4 <= words; w += 4) {
-      const __m256i r = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows[0] + w));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w), r);
-      acc = _mm256_or_si256(acc, r);
-    }
-    for (; w < words; ++w) {
-      dst[w] = rows[0][w];
-      tail_nonzero |= dst[w];
-    }
-    return tail_nonzero != 0 || !_mm256_testz_si256(acc, acc);
-  }
-  const std::uint64_t* a = rows[0];
-  const std::uint64_t* b = rows[1];
+  __m256i any = _mm256_setzero_si256();
   for (; w + 4 <= words; w += 4) {
-    const __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w));
-    const __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w));
-    const __m256i r = _mm256_and_si256(va, vb);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w), r);
-    acc = _mm256_or_si256(acc, r);
+    __m256i acc =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows[0] + w));
+    for (std::size_t r = 1; r < k && !_mm256_testz_si256(acc, acc); ++r) {
+      acc = _mm256_and_si256(
+          acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows[r] + w)));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w), acc);
+    any = _mm256_or_si256(any, acc);
   }
+  std::uint64_t tail_nonzero = 0;
   for (; w < words; ++w) {
-    dst[w] = a[w] & b[w];
+    dst[w] = and_column(rows, k, w);
     tail_nonzero |= dst[w];
   }
-  bool any = tail_nonzero != 0 || !_mm256_testz_si256(acc, acc);
-  for (std::size_t r = 2; r < k; ++r) {
-    if (!any) return false;
-    any = avx2_and_into(dst, rows[r], words);
-  }
-  return any;
+  return tail_nonzero != 0 || !_mm256_testz_si256(any, any);
 }
 
 __attribute__((target("avx2,popcnt")))

@@ -32,14 +32,15 @@ struct Kernels {
   /// Implementation name for diagnostics ("scalar", "avx2").
   const char* name;
 
-  /// dst[w] &= src[w] for w in [0, words). Returns true when any
-  /// resulting word is nonzero (all-zero detection for early exit).
-  bool (*and_into)(std::uint64_t* dst, const std::uint64_t* src, std::size_t words);
+  /// dst[w] &= src[w] for w in [0, words).
+  void (*and_into)(std::uint64_t* dst, const std::uint64_t* src, std::size_t words);
 
-  /// dst = rows[0] & rows[1] & ... & rows[k-1], k >= 1. Exits early —
-  /// without reading the remaining rows — as soon as the partial result
-  /// is all-zero (dst is zero-filled in that case). rows[i] == dst is
-  /// allowed. Returns true when the final result has any set bit.
+  /// dst = rows[0] & rows[1] & ... & rows[k-1], k >= 1 (dst is
+  /// zero-filled when the result is empty). Column-blocked: each block
+  /// (one word scalar, four AVX2) is ANDed across the rows in a
+  /// register, left once it is all-zero and stored once, so a row is
+  /// read only where its block still has a live entry. rows[i] == dst
+  /// is allowed. Returns true when the result has any set bit.
   bool (*and_rows_into)(std::uint64_t* dst, const std::uint64_t* const* rows,
                         std::size_t k, std::size_t words);
 

@@ -72,6 +72,17 @@ TEST(Header, FieldExtraction) {
   EXPECT_EQ(h.field(kSpField), t.src_port);
   EXPECT_EQ(h.field(kDpField), t.dst_port);
   EXPECT_EQ(h.field(kPrtField), t.protocol);
+  // Any window of up to 32 bits, at any bit phase.
+  for (unsigned width = 1; width <= 32; ++width) {
+    for (unsigned offset = 0; offset + width <= kHeaderBits; ++offset) {
+      std::uint32_t want = 0;
+      for (unsigned b = 0; b < width; ++b) {
+        want = (want << 1) | (h.bit(offset + b) ? 1u : 0u);
+      }
+      ASSERT_EQ(h.field({offset, width}), want)
+          << "offset=" << offset << " width=" << width;
+    }
+  }
 }
 
 TEST(Header, StrideMsbFirst) {
@@ -91,15 +102,25 @@ TEST(Header, StrideConcatenationReconstructsHeader) {
   t.src_port = 0xBEEF;
   t.dst_port = 0x1234;
   t.protocol = 0x5A;
-  const HeaderBits h(t);
-  for (const unsigned k : {1u, 2u, 3u, 4u, 5u, 8u}) {
-    for (unsigned s = 0; s * k < kHeaderBits; ++s) {
-      const auto v = h.stride(s * k, k);
-      for (unsigned b = 0; b < k; ++b) {
-        const unsigned pos = s * k + b;
-        const bool expect = pos < kHeaderBits && h.bit(pos);
-        EXPECT_EQ((v >> (k - 1 - b)) & 1u, expect ? 1u : 0u)
-            << "k=" << k << " stage=" << s << " bit=" << b;
+  FiveTuple ones;  // every bit set, so stray padding bits would show
+  ones.src_ip.value = 0xFFFFFFFFu;
+  ones.dst_ip.value = 0xFFFFFFFFu;
+  ones.src_port = 0xFFFF;
+  ones.dst_port = 0xFFFF;
+  ones.protocol = 0xFF;
+  for (const HeaderBits h : {HeaderBits(t), HeaderBits(ones)}) {
+    for (unsigned k = 1; k <= 16; ++k) {
+      // Every offset, not only stage boundaries: windows at any byte
+      // phase, including those that straddle bit 104.
+      for (unsigned offset = 0; offset < kHeaderBits; ++offset) {
+        const auto v = h.stride(offset, k);
+        ASSERT_LT(v, 1u << k) << "k=" << k << " offset=" << offset;
+        for (unsigned b = 0; b < k; ++b) {
+          const unsigned pos = offset + b;
+          const bool expect = pos < kHeaderBits && h.bit(pos);
+          EXPECT_EQ((v >> (k - 1 - b)) & 1u, expect ? 1u : 0u)
+              << "k=" << k << " offset=" << offset << " bit=" << b;
+        }
       }
     }
   }

@@ -107,6 +107,36 @@ TEST(StrideTable, AndAcrossStagesEqualsTernaryMatch) {
   }
 }
 
+TEST(StrideTable, RowsForMatchesStrideValue) {
+  util::Xoshiro256 rng(66);
+  std::vector<TernaryWord> entries;
+  for (int e = 0; e < 70; ++e) {  // two words per row
+    TernaryWord w;
+    for (unsigned i = 0; i < net::kHeaderBits; ++i) {
+      if (rng.chance(1, 2)) w.set_bit(i, rng.chance(1, 2));
+    }
+    entries.push_back(w);
+  }
+  for (unsigned k = 1; k <= 8; ++k) {
+    const StrideTable t(entries, k);
+    std::vector<const std::uint64_t*> rows(t.num_stages());
+    for (int probe = 0; probe < 50; ++probe) {
+      net::FiveTuple tu;
+      tu.src_ip.value = static_cast<std::uint32_t>(rng());
+      tu.dst_ip.value = static_cast<std::uint32_t>(rng());
+      tu.src_port = static_cast<std::uint16_t>(rng.below(0x10000));
+      tu.dst_port = static_cast<std::uint16_t>(rng.below(0x10000));
+      tu.protocol = 0xFF;  // ones up to bit 104: the padding must still read 0
+      const net::HeaderBits h(tu);
+      t.rows_for(h, rows.data());
+      for (unsigned s = 0; s < t.num_stages(); ++s) {
+        ASSERT_EQ(rows[s], t.bv(s, t.stride_value(h, s)).words().data())
+            << "k=" << k << " stage=" << s;
+      }
+    }
+  }
+}
+
 TEST(StrideTable, SetEntryUpdatesColumn) {
   std::vector<TernaryWord> entries(3);  // all don't-care
   StrideTable t(entries, 4);
