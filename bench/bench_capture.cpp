@@ -53,7 +53,7 @@ namespace {
 constexpr std::size_t kRules = 128;
 constexpr std::size_t kFlows = 1024;
 constexpr std::size_t kFrames = 8192;
-constexpr std::size_t kBatch = 256;
+constexpr std::size_t kBatch = capture::kBatchFrames;
 constexpr double kSeconds = 1.5;
 
 /// Wire baseline: one blocking client cycling batches of packed
@@ -83,14 +83,12 @@ constexpr double kSeconds = 1.5;
 /// threads for the timed window, frames/sec from the loop's counters.
 [[maybe_unused]] double drive_capture(const net::PcapFile& file,
                                       const runtime::ShardedClassifier& classifier,
-                                      const ruleset::RuleSet& rules, std::size_t rings) {
+                                      std::size_t rings) {
   capture::PcapReplayConfig pcfg;
   pcfg.rings = rings;
   pcfg.loops = 0;  // until stop()
   capture::PcapReplaySource src(file, pcfg);  // copies the frames
-  capture::CaptureLoopConfig lcfg;
-  lcfg.batch_size = kBatch;
-  capture::CaptureLoop loop(src, classifier, rules, lcfg);
+  capture::CaptureLoop loop(src, classifier);
   const auto t0 = std::chrono::steady_clock::now();
   loop.start();
   std::this_thread::sleep_for(std::chrono::duration<double>(kSeconds));
@@ -191,9 +189,7 @@ int main() {
   bool verdicts_match = false;
   {
     capture::PcapReplaySource src(file);  // 1 ring, 1 pass
-    capture::CaptureLoopConfig lcfg;
-    lcfg.batch_size = kBatch;
-    capture::CaptureLoop loop(src, classifier, rules, lcfg);
+    capture::CaptureLoop loop(src, classifier);
     loop.run();
     std::uint64_t forwarded = 0;
     std::uint64_t dropped = 0;
@@ -231,7 +227,7 @@ int main() {
 
   double best_capture = 0;
   for (const std::size_t rings : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    const double r = drive_capture(file, classifier, rules, rings);
+    const double r = drive_capture(file, classifier, rings);
     if (r > best_capture) best_capture = r;
     std::snprintf(rate, sizeof(rate), "%.2f", r);
     std::snprintf(ratio, sizeof(ratio), "%.2fx",

@@ -3,9 +3,11 @@
 // forward/drop verdicts out.
 //
 //   $ capture_gateway --pcap trace.pcap [--rules SRC|N] [--engine SPEC]
-//                     [--rings N] [--batch N] [--loops N] [--seed S]
-//                     [--golden]
+//                     [--rings N] [--loops N] [--seed S] [--golden]
 //   $ capture_gateway --iface eth0 [--duration-ms N] [...]
+//
+// --engine SPEC runs as a one-shard, one-core ShardedClassifier, the
+// runtime that reports each winning rule's action with its index.
 //
 // pcap mode drains the replay source ring-by-ring on the calling
 // thread (CaptureLoop::run), so the counters it prints are a pure
@@ -25,6 +27,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <stdexcept>
 #include <system_error>
 #include <thread>
 
@@ -57,12 +61,21 @@ void print_counters(const runtime::CaptureCounters& c) {
               static_cast<unsigned long long>(t.overruns));
 }
 
+util::CliFlags parse_flags(int argc, char** argv) {
+  try {
+    return util::CliFlags(argc, argv,
+                          {"pcap", "iface", "rules", "engine", "rings", "loops",
+                           "seed", "golden", "duration-ms"});
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "capture_gateway: %s\n", e.what());
+    std::exit(2);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::CliFlags flags(argc, argv,
-                       {"pcap", "iface", "rules", "engine", "rings", "batch",
-                        "loops", "seed", "golden", "duration-ms"});
+  const util::CliFlags flags = parse_flags(argc, argv);
   const std::string pcap_path = flags.get("pcap", "");
   const std::string iface = flags.get("iface", "");
   if (pcap_path.empty() == iface.empty()) {
@@ -86,14 +99,15 @@ int main(int argc, char** argv) {
     }
     rules = std::move(resolved.rules);
   }
-  const auto engine = engines::make_engine(flags.get("engine", "stridebv:4"), rules);
+  runtime::ShardedConfig rcfg;
+  rcfg.shards = 1;
+  rcfg.core_budget = 1;
+  rcfg.engine_spec = flags.get("engine", "stridebv:4");
+  const runtime::ShardedClassifier classifier(rules, rcfg);
 
   auto rings = static_cast<std::size_t>(flags.get_u64("rings", 1));
   if (rings == 0) rings = 1;
   const auto loops = flags.get_u64("loops", 1);
-
-  capture::CaptureLoopConfig lcfg;
-  lcfg.batch_size = flags.get_u64("batch", 256);
 
   if (!pcap_path.empty()) {
     capture::PcapReplayConfig pcfg;
@@ -114,9 +128,9 @@ int main(int argc, char** argv) {
     if (golden) reference = file;
 
     capture::PcapReplaySource src(std::move(file), pcfg, pcap_path);
-    capture::CaptureLoop loop(src, *engine, rules, lcfg);
+    capture::CaptureLoop loop(src, classifier);
     std::printf("capture_gateway: %s -> %s, %zu rules\n", src.describe().c_str(),
-                engine->name().c_str(), rules.size());
+                classifier.name().c_str(), rules.size());
     const std::uint64_t total = loop.run();
     const runtime::CaptureCounters counters = loop.counters();
     print_counters(counters);
@@ -178,9 +192,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "capture_gateway: %s\n", e.what());
     return 2;
   }
-  capture::CaptureLoop loop(*src, *engine, rules, lcfg);
+  capture::CaptureLoop loop(*src, classifier);
   std::printf("capture_gateway: %s -> %s, %zu rules\n", src->describe().c_str(),
-              engine->name().c_str(), rules.size());
+              classifier.name().c_str(), rules.size());
   std::fflush(stdout);
   loop.start();
   std::this_thread::sleep_for(

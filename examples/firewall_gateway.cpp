@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
       const auto& r = results[i];
       if (!r.has_match()) {
         ++unmatched;  // no default rule would be a misconfiguration
-      } else if (rules[r.best].action.kind == ruleset::Action::Kind::kDrop) {
+      } else if (r.action.kind == ruleset::Action::Kind::kDrop) {
         ++dropped;
       } else {
         ++forwarded;

@@ -48,16 +48,16 @@
 // parsed and classified in batches of 256 frames through the same
 // sharded engine the wire clients query. Frames no rule matches are
 // dropped; drop/forward verdicts are counted per ring and surfaced in
-// the STATS reply's "capture" block. Rule updates arriving over RPC
-// retarget capture verdicts BEFORE their OK reply, via the same
-// applier-thread hook that journals them.
+// the STATS reply's "capture" block. Each verdict is the action
+// classify_batch returns with the winning rule, from the same snapshot,
+// so every frame classified after an update's OK reply is decided
+// under that update.
 //
 // --smoke runs the whole loop in-process: the server serves on a
 // background thread while a ClassifyClient pings, classifies a batch,
 // inserts a catch-all rule at index 0, classifies again (the new rule
 // must now win every packet), fetches stats, and drains. Exit status
 // reports the outcome — this is the ctest entry.
-#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -260,38 +260,6 @@ int main(int argc, char** argv) {
     };
   }
 
-  // Capture verdict coherence: the hook below runs on the single
-  // update-applier thread AFTER each batch's snapshot publishes and
-  // BEFORE its completion futures resolve, in submission order — so it
-  // can mirror the applied ops onto a private RuleSet copy and
-  // republish the capture verdict table with the wire ack still
-  // pending. Once a client sees OK, no captured frame is decided under
-  // the old rule actions. The CaptureLoop itself is built later (it
-  // needs the classifier), so the hook reaches it through an atomic
-  // slot.
-  std::shared_ptr<std::atomic<capture::CaptureLoop*>> capture_slot;
-  if (!capture_spec.empty()) {
-    capture_slot = std::make_shared<std::atomic<capture::CaptureLoop*>>(nullptr);
-    auto mirror = std::make_shared<ruleset::RuleSet>(rules);
-    auto journal_hook = std::move(rcfg.durability_hook);
-    rcfg.durability_hook = [capture_slot, mirror, journal_hook](
-                               std::span<const runtime::UpdateOp> ops) {
-      for (const auto& op : ops) {
-        // Ops the runtime rejected (out-of-range index) never reach the
-        // hook, but guard anyway: the mirror must never throw here.
-        if (op.kind == runtime::UpdateOp::Kind::kInsert) {
-          if (op.index <= mirror->size()) mirror->insert(op.index, op.rule);
-        } else if (op.index < mirror->size()) {
-          mirror->erase(op.index);
-        }
-      }
-      if (auto* loop = capture_slot->load(std::memory_order_acquire)) {
-        loop->publish_verdicts(*mirror);
-      }
-      if (journal_hook) journal_hook(ops);
-    };
-  }
-
   runtime::ShardedClassifier classifier(rules, rcfg);
 
   // The inline capture plane: AF_PACKET rings on an interface, or a
@@ -318,9 +286,7 @@ int main(int argc, char** argv) {
                    e.what());
       return 2;
     }
-    capture_loop =
-        std::make_unique<capture::CaptureLoop>(*capture_src, classifier, rules);
-    capture_slot->store(capture_loop.get(), std::memory_order_release);
+    capture_loop = std::make_unique<capture::CaptureLoop>(*capture_src, classifier);
   }
 
   server::ServerConfig scfg;
@@ -358,7 +324,6 @@ int main(int argc, char** argv) {
   if (flags.get_bool("smoke")) {
     const int rc = run_smoke(srv, rules, seed);
     g_server = nullptr;
-    if (capture_slot != nullptr) capture_slot->store(nullptr);
     if (capture_loop != nullptr) capture_loop->stop();
     return rc;
   }
@@ -367,7 +332,6 @@ int main(int argc, char** argv) {
   g_server = nullptr;
 
   if (capture_loop != nullptr) {
-    capture_slot->store(nullptr);
     capture_loop->stop();
     const auto t = capture_loop->counters().total();
     std::printf("rfipcd: capture done: %llu frames (%llu forwarded, %llu "

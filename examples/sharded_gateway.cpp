@@ -61,8 +61,7 @@ int main(int argc, char** argv) {
     gateway.classify_batch({packed.data() + off, len}, {results.data() + off, len});
     for (std::size_t i = off; i < off + len; ++i) {
       const auto& r = results[i];
-      if (r.has_match() &&
-          rules[r.best].action.kind == ruleset::Action::Kind::kDrop) {
+      if (r.has_match() && r.action.kind == ruleset::Action::Kind::kDrop) {
         ++dropped;
       } else {
         ++forwarded;
@@ -95,9 +94,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   const auto verdict = gateway.classify(packed[0]);
+  const bool blocked =
+      verdict.best == 0 && verdict.action.kind == ruleset::Action::Kind::kDrop;
   std::printf("\nlive update: drop rule hot-inserted at priority 0 "
               "(updates=%llu); first flow now -> %s\n",
               static_cast<unsigned long long>(gateway.stats_snapshot().updates),
-              verdict.best == 0 ? "dropped" : "forwarded");
-  return verdict.best == 0 ? 0 : 1;
+              blocked ? "dropped" : "forwarded");
+  return blocked ? 0 : 1;
 }

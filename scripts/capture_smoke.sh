@@ -49,7 +49,7 @@ echo
 echo "== capture_smoke: golden replay determinism =="
 run_gateway() {  # rings
   "${GATEWAY}" --pcap "${workdir}/a.pcap" --rules "${RULES}" \
-    --rings "$1" --batch 128 --golden
+    --rings "$1" --golden
 }
 out1="$(run_gateway 2)"
 out2="$(run_gateway 2)"
@@ -58,12 +58,12 @@ grep -q 'MATCH$' <<<"${out1}" \
   || { echo "capture_smoke: golden verdicts diverged from the reference" >&2; exit 1; }
 [[ "${out1}" == "${out2}" ]] \
   || { echo "capture_smoke: two replays of one capture disagreed" >&2; exit 1; }
-# Batch counts legitimately differ with ring count / batch size; the
-# verdict totals must not.
+# Batch counts legitimately differ with ring count; the verdict totals
+# must not.
 verdicts() { grep '^total:' | sed 's/ batches=[0-9]*//'; }
 total2="$(verdicts <<<"${out1}")"
 total4="$("${GATEWAY}" --pcap "${workdir}/a.pcap" --rules "${RULES}" \
-  --rings 4 --batch 64 --golden | verdicts)"
+  --rings 4 --golden | verdicts)"
 [[ "${total2}" == "${total4}" ]] \
   || { echo "capture_smoke: ring fanout changed the verdict totals" >&2
        echo "  2 rings: ${total2}" >&2; echo "  4 rings: ${total4}" >&2; exit 1; }
@@ -75,7 +75,7 @@ for link in raw null; do
   "${TRACE}" --out "${workdir}/${link}.pcap" --rules "${RULES}" \
     --packets 512 --link "${link}"
   "${GATEWAY}" --pcap "${workdir}/${link}.pcap" --rules "${RULES}" \
-    --rings 2 --batch 64 --golden | grep -q 'MATCH$' \
+    --rings 2 --golden | grep -q 'MATCH$' \
     || { echo "capture_smoke: ${link} replay failed its golden check" >&2; exit 1; }
   echo "capture_smoke: linktype ${link} replays golden"
 done

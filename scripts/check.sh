@@ -8,9 +8,10 @@
 #   4. thread          — TSan build, concurrency-sensitive tests only
 #      (SPSC ring + shard workers, RCU, sharded runtime,
 #      concurrent update stress, fault containment, flow-cache
-#      coherence, the wire codec, the classification service E2E, the
-#      durable log's applier/checkpoint-thread interplay, and the
-#      deadline/retry client), since TSan triples runtimes
+#      coherence, the capture rings under concurrent rule updates, the
+#      wire codec, the classification service E2E, the durable log's
+#      applier/checkpoint-thread interplay, and the deadline/retry
+#      client), since TSan triples runtimes
 # Each configuration uses its own build directory so the default
 # ./build stays untouched for development.
 set -euo pipefail
@@ -40,10 +41,10 @@ CTEST_ARGS=()
 run build-asan "address,undefined"
 
 CMAKE_ARGS=()
-CTEST_ARGS=(-R 'test_spsc_ring|test_runtime|test_rcu|test_fault_containment|test_flow_cache|test_wire|test_server|test_persist|test_resilient_client')
+CTEST_ARGS=(-R 'test_spsc_ring|test_runtime|test_rcu|test_fault_containment|test_flow_cache|test_capture|test_wire|test_server|test_persist|test_resilient_client')
 run build-tsan "thread" --target test_spsc_ring test_runtime test_rcu \
-  test_runtime_concurrent test_fault_containment test_flow_cache test_wire \
-  test_server test_persist test_resilient_client
+  test_runtime_concurrent test_fault_containment test_flow_cache test_capture \
+  test_wire test_server test_persist test_resilient_client
 
 echo
 echo "== check.sh: all configurations passed =="

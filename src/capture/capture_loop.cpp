@@ -3,12 +3,8 @@
 namespace rfipc::capture {
 
 CaptureLoop::CaptureLoop(CaptureSource& source,
-                         const engines::ClassifierEngine& engine,
-                         const ruleset::RuleSet& rules, CaptureLoopConfig config)
-    : source_(source), engine_(engine), config_(config) {
-  if (config_.batch_size == 0) config_.batch_size = 1;
-  verdict_table_ = std::make_shared<const std::vector<unsigned char>>(
-      build_table(rules));
+                         const runtime::ShardedClassifier& classifier)
+    : source_(source), classifier_(classifier) {
   counters_.reserve(source_.ring_count());
   for (std::size_t i = 0; i < source_.ring_count(); ++i) {
     counters_.push_back(std::make_unique<RingCounters>());
@@ -17,29 +13,8 @@ CaptureLoop::CaptureLoop(CaptureSource& source,
 
 CaptureLoop::~CaptureLoop() { stop(); }
 
-std::vector<unsigned char> CaptureLoop::build_table(
-    const ruleset::RuleSet& rules) {
-  std::vector<unsigned char> table(rules.size(), 0);
-  for (std::size_t i = 0; i < rules.size(); ++i) {
-    table[i] = rules[i].action.kind == ruleset::Action::Kind::kForward ? 1 : 0;
-  }
-  return table;
-}
-
-void CaptureLoop::publish_verdicts(const ruleset::RuleSet& rules) {
-  auto table =
-      std::make_shared<const std::vector<unsigned char>>(build_table(rules));
-  std::lock_guard<std::mutex> lock(verdict_mu_);
-  verdict_table_ = std::move(table);
-}
-
-std::shared_ptr<const std::vector<unsigned char>> CaptureLoop::verdicts() const {
-  std::lock_guard<std::mutex> lock(verdict_mu_);
-  return verdict_table_;
-}
-
 std::size_t CaptureLoop::step(std::size_t ring, RingScratch& scratch) {
-  scratch.views.resize(config_.batch_size);
+  scratch.views.resize(kBatchFrames);
   const std::size_t n = source_.next_batch(ring, scratch.views);
   if (n == 0) return 0;
 
@@ -73,30 +48,24 @@ std::size_t CaptureLoop::step(std::size_t ring, RingScratch& scratch) {
   }
   const std::span<engines::MatchResult> results{scratch.results.data(),
                                                 scratch.headers.size()};
-  engine_.classify_batch(scratch.headers, results,
-                         engines::BatchOptions{.want_multi = false});
+  classifier_.classify_batch(scratch.headers, results,
+                             engines::BatchOptions{.want_multi = false});
 
-  // Apply verdicts under one table load per batch.
-  const auto table = verdicts();
+  // The action arrives with the winner, unmatched frames carry drop.
   std::uint64_t forwarded = 0;
-  std::uint64_t dropped = 0;
   for (const engines::MatchResult& r : results) {
-    if (r.has_match() && r.best < table->size() && (*table)[r.best] != 0) {
-      ++forwarded;
-    } else {
-      ++dropped;
-    }
+    if (r.action.kind == ruleset::Action::Kind::kForward) ++forwarded;
   }
   c.forwarded.fetch_add(forwarded, std::memory_order_relaxed);
-  c.dropped.fetch_add(dropped, std::memory_order_relaxed);
+  c.dropped.fetch_add(results.size() - forwarded, std::memory_order_relaxed);
   return n;
 }
 
 void CaptureLoop::drain_ring(std::size_t ring) {
   RingScratch scratch;
-  scratch.views.reserve(config_.batch_size);
-  scratch.headers.reserve(config_.batch_size);
-  scratch.results.reserve(config_.batch_size);
+  scratch.views.reserve(kBatchFrames);
+  scratch.headers.reserve(kBatchFrames);
+  scratch.results.reserve(kBatchFrames);
   while (true) {
     if (step(ring, scratch) == 0 && source_.exhausted(ring)) break;
   }

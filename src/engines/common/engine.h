@@ -80,7 +80,7 @@ class ClassifierEngine {
   /// or nullptr when the engine cannot be copied. The concurrent
   /// runtime clones a shard, patches the clone off the lookup path, and
   /// publishes it via an RCU snapshot swap; engines without clone
-  /// support fall back to a factory rebuild from the shadow ruleset.
+  /// support fall back to a factory rebuild from the band's rules.
   virtual std::unique_ptr<ClassifierEngine> clone() const { return nullptr; }
 
   /// Convenience: pack and classify a decoded 5-tuple.

@@ -51,6 +51,7 @@ bool FlowCache::lookup(const net::HeaderBits& key, engines::MatchResult& out) co
       e.last_used = tick_.fetch_add(1, std::memory_order_relaxed);
       // Copy-assign reuses out's heap buffers when capacity suffices.
       out.best = e.result.best;
+      out.action = e.result.action;
       out.multi = e.result.multi;
       hits_.fetch_add(1, std::memory_order_relaxed);
       return true;
@@ -101,6 +102,7 @@ void FlowCache::insert(const net::HeaderBits& key, std::uint64_t epoch_seen,
   victim->epoch = epoch_seen;
   victim->last_used = tick_.fetch_add(1, std::memory_order_relaxed);
   victim->result.best = result.best;
+  victim->result.action = result.action;
   victim->result.multi = result.multi;
   insertions_.fetch_add(1, std::memory_order_relaxed);
 }

@@ -5,15 +5,16 @@
 // packets (RVH, arXiv:1909.07159), and SDN flow tables exploit that by
 // front-ending the wildcard classifier with an exact-match table
 // (arXiv:1801.00840). This cache is that front end in software: the
-// packed 104-bit header is the key, the full MatchResult (best + multi,
-// already rebased to global rule indices) is the value, and a hit skips
-// the entire shard fan-out.
+// packed 104-bit header is the key, the full MatchResult (best + action
+// + multi, best already rebased to global rule indices) is the value,
+// and a hit skips the entire shard fan-out.
 //
 // Structure: open-addressing hash table over power-of-two slots, split
 // into fixed 64-slot segments. Each segment has its own mutex and its
-// probes wrap within the segment, so concurrent batches from the thread
-// pool contend only when they hash into the same segment. Within the
-// bounded probe window replacement is LRU by a global access tick.
+// probes wrap within the segment, so concurrent classify_batch callers
+// (capture rings, wire connections) contend only when they hash into
+// the same segment. Within the bounded probe window replacement is LRU
+// by a global access tick.
 //
 // Coherence (the invalidation rule): the cache carries an epoch that
 // the OWNER bumps via invalidate() immediately AFTER publishing any

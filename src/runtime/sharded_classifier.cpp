@@ -73,10 +73,10 @@ ShardedClassifier::ShardedClassifier(ruleset::RuleSet rules, ShardedConfig confi
     set->bases.push_back(next);
     Shard shard;
     shard.engine = engines::make_engine(config_.engine_spec, band);
+    shard.rules = std::make_shared<const ruleset::RuleSet>(std::move(band));
     shard.health = std::make_shared<ShardHealth>();
     shard.id = next_id_++;
     set->shards.push_back(std::move(shard));
-    shadow_.push_back(std::move(band));
   }
   snapshot_.exchange(std::move(set));
   queue_ = std::make_unique<UpdateQueue>(
@@ -161,7 +161,10 @@ void ShardedClassifier::merge(const ShardSet& snap, const FanScratch& scratch,
       MatchResult& out = results[i];
       if (r.has_match()) {
         const std::size_t global = snap.bases[s] + r.best;
-        if (global < out.best) out.best = global;
+        if (global < out.best) {
+          out.best = global;
+          out.action = (*snap.shards[s].rules)[r.best].action;
+        }
       }
       if (!want_multi) continue;
       for (std::size_t b = r.multi.first_set(); b != util::BitVector::npos;
@@ -239,6 +242,11 @@ void ShardedClassifier::fan_out(const ShardSet& snap,
   if (eligible.size() == 1 && snap.shards.size() == 1) {
     if (!run_contained(snap.shards[0], headers, results, opts)) {
       for (auto& r : results) r.reset_for(snap.bases.back(), opts.want_multi);
+      return;
+    }
+    const ruleset::RuleSet& rules = *snap.shards[0].rules;
+    for (auto& r : results) {
+      r.action = r.has_match() ? rules[r.best].action : ruleset::Action::drop();
     }
     return;
   }
@@ -411,8 +419,8 @@ void ShardedClassifier::patch_engine(
     const std::function<bool(engines::ClassifierEngine&)>& patch) {
   if (w.needs_rebuild[s]) return;  // full rebuild already pending
   if (w.shards[s].health->quarantined.load(std::memory_order_acquire)) {
-    // The engine is out of service; only the shadow ruleset advances.
-    // The scheduled rebuild task reinstates from the shadow.
+    // The engine is out of service; only the band rules advance. The
+    // scheduled rebuild task reinstates from them.
     return;
   }
   if (w.patched[s] == nullptr) {
@@ -424,10 +432,20 @@ void ShardedClassifier::patch_engine(
   }
   if (!patch(*w.patched[s])) {
     // The clone rejected the incremental patch; discard it and rebuild
-    // from the shadow ruleset, which already carries every op.
+    // from the band rules, which already carry every op.
     w.patched[s].reset();
     w.needs_rebuild[s] = 1;
   }
+}
+
+ruleset::RuleSet& ShardedClassifier::band_rules(Working& w, std::size_t s) {
+  // Published snapshots never change: the first write to a band in a
+  // batch copies its rules, and the copy rides into the next snapshot.
+  if (w.rules[s] == nullptr) {
+    w.rules[s] = std::make_shared<ruleset::RuleSet>(*w.shards[s].rules);
+    w.shards[s].rules = w.rules[s];
+  }
+  return *w.rules[s];
 }
 
 bool ShardedClassifier::apply_one(Working& w, const UpdateOp& op) {
@@ -436,13 +454,13 @@ bool ShardedClassifier::apply_one(Working& w, const UpdateOp& op) {
     if (op.index > total) return false;
     if (w.shards.empty()) {
       // Fully drained classifier: re-seed a fresh shard.
-      ruleset::RuleSet band;
-      band.add(op.rule);
-      shadow_.push_back(std::move(band));
       Shard shard;
+      shard.rules =
+          std::make_shared<const ruleset::RuleSet>(std::vector<ruleset::Rule>{op.rule});
       shard.health = std::make_shared<ShardHealth>();
       shard.id = next_id_++;
       w.shards.push_back(std::move(shard));
+      w.rules.emplace_back(nullptr);
       w.patched.emplace_back(nullptr);
       w.needs_rebuild.push_back(1);
       w.bases = {0, 1};
@@ -452,7 +470,7 @@ bool ShardedClassifier::apply_one(Working& w, const UpdateOp& op) {
     const std::size_t s =
         op.index == total ? w.shards.size() - 1 : owning_shard(w.bases, op.index);
     const std::size_t local = op.index - w.bases[s];
-    shadow_[s].insert(local, op.rule);
+    band_rules(w, s).insert(local, op.rule);
     patch_engine(w, s, [&](engines::ClassifierEngine& e) {
       return e.insert_rule(local, op.rule);
     });
@@ -464,11 +482,10 @@ bool ShardedClassifier::apply_one(Working& w, const UpdateOp& op) {
   if (op.index >= total) return false;
   const std::size_t s = owning_shard(w.bases, op.index);
   const std::size_t local = op.index - w.bases[s];
-  shadow_[s].erase(local);
   if (w.bases[s + 1] - w.bases[s] == 1) {
     // Band emptied: collapse it — drop the shard and merge the bases.
-    shadow_.erase(shadow_.begin() + static_cast<std::ptrdiff_t>(s));
     w.shards.erase(w.shards.begin() + static_cast<std::ptrdiff_t>(s));
+    w.rules.erase(w.rules.begin() + static_cast<std::ptrdiff_t>(s));
     w.patched.erase(w.patched.begin() + static_cast<std::ptrdiff_t>(s));
     w.needs_rebuild.erase(w.needs_rebuild.begin() + static_cast<std::ptrdiff_t>(s));
     w.bases.erase(w.bases.begin() + static_cast<std::ptrdiff_t>(s) + 1);
@@ -476,6 +493,7 @@ bool ShardedClassifier::apply_one(Working& w, const UpdateOp& op) {
     w.dirty = true;
     return true;
   }
+  band_rules(w, s).erase(local);
   patch_engine(w, s,
                [&](engines::ClassifierEngine& e) { return e.erase_rule(local); });
   for (std::size_t t = s + 1; t < w.bases.size(); ++t) --w.bases[t];
@@ -488,6 +506,7 @@ void ShardedClassifier::apply_batch(std::vector<UpdateQueue::Pending>& batch) {
   Working w;
   w.shards = cur->shards;
   w.bases = cur->bases;
+  w.rules.resize(w.shards.size());
   w.patched.resize(w.shards.size());
   w.needs_rebuild.assign(w.shards.size(), 0);
 
@@ -501,7 +520,7 @@ void ShardedClassifier::apply_batch(std::vector<UpdateQueue::Pending>& batch) {
   if (w.dirty) {
     for (std::size_t s = 0; s < w.shards.size(); ++s) {
       if (w.needs_rebuild[s] && w.patched[s] == nullptr) {
-        w.patched[s] = engines::make_engine(config_.engine_spec, shadow_[s]);
+        w.patched[s] = engines::make_engine(config_.engine_spec, *w.shards[s].rules);
       }
     }
     auto next = std::make_shared<ShardSet>();
@@ -578,7 +597,7 @@ void ShardedClassifier::rebuild_shard(std::size_t id, std::uint32_t attempt) {
                                 : config_.failure.rebuild_spec;
   engines::EnginePtr fresh;
   try {
-    fresh = engines::make_engine(spec, shadow_[s]);
+    fresh = engines::make_engine(spec, *old.rules);
   } catch (...) {
     schedule_rebuild(id, attempt + 1);
     return;

@@ -30,6 +30,11 @@
 // the same guarantee StrideBV's on-the-fly hardware update path gives a
 // single pipeline, extended to the multi-pipeline pack.
 //
+// Actions ride the snapshot: each shard carries its band's rules next
+// to its engine, and classify_batch() fills MatchResult::action from
+// the winning band's rules under the same pin that answered `best`, so
+// the action of a resolved update is seen by every later lookup too.
+//
 // Failure containment: a shard whose engine throws or returns a
 // corrupted result (best index out of range — what a flaky stage
 // memory would produce; see engines::FaultInjectorEngine for the test
@@ -37,8 +42,9 @@
 // consecutive faults the shard is quarantined: lookups keep being
 // served from the healthy shards with StatsSnapshot::degraded set (its
 // priority band temporarily yields no matches). If rebuild is enabled,
-// the update plane rebuilds the shard from its shadow ruleset with
-// exponential backoff and reinstates it under fresh health.
+// the update plane rebuilds the shard from the band rules its snapshot
+// carries, with exponential backoff, and reinstates it under fresh
+// health.
 //
 // Erasing the last rule of a band collapses the band (the shard is
 // removed and the bases merge) instead of failing; inserting into a
@@ -46,12 +52,13 @@
 //
 // Flow cache: with flow_cache_capacity > 0 an exact-match 5-tuple
 // cache (flow::FlowCache) fronts the shard fan-out — packets whose
-// packed header hits the cache are answered without touching any
-// shard, and only the misses are compacted into a sub-batch for the
-// pipeline. The cache epoch is bumped on every snapshot publication
-// (update swap or shard reinstatement), so by the time an update's
-// completion future resolves no pre-update decision can still be
-// served; see flow/flow_cache.h for the exact coherence argument.
+// packed header hits the cache are answered (best and action) without
+// touching any shard, and only the misses are compacted into a
+// sub-batch for the pipeline. The cache epoch is bumped on every
+// snapshot publication (update swap or shard reinstatement), so by the
+// time an update's completion future resolves no pre-update decision
+// can still be served; see flow/flow_cache.h for the exact coherence
+// argument.
 #pragma once
 
 #include <functional>
@@ -198,11 +205,16 @@ class ShardedClassifier final : public engines::ClassifierEngine {
 
   struct Shard {
     std::shared_ptr<const engines::ClassifierEngine> engine;
+    /// The band's rules, local index == engine rule index: the action
+    /// source for lookups and the source of factory rebuilds (clone-less
+    /// engines, quarantine reinstatement). Copied on write.
+    std::shared_ptr<const ruleset::RuleSet> rules;
     std::shared_ptr<ShardHealth> health;
     std::size_t id = 0;  // stable across band shifts; indexes latency stats
   };
 
-  /// The immutable RCU snapshot: engines + priority-band bases.
+  /// The immutable RCU snapshot: engines, band rules and priority-band
+  /// bases.
   /// bases.size() == shards.size() + 1, bases[0] == 0, and shard s owns
   /// global priorities [bases[s], bases[s+1]).
   struct ShardSet {
@@ -214,6 +226,7 @@ class ShardedClassifier final : public engines::ClassifierEngine {
   struct Working {
     std::vector<Shard> shards;
     std::vector<std::size_t> bases;
+    std::vector<std::shared_ptr<ruleset::RuleSet>> rules;  // this batch's band copies
     std::vector<engines::EnginePtr> patched;        // pending replacement engines
     std::vector<unsigned char> needs_rebuild;       // factory rebuild fallback
     bool dirty = false;
@@ -282,6 +295,8 @@ class ShardedClassifier final : public engines::ClassifierEngine {
   // Writer plane (UpdateQueue applier thread only).
   void apply_batch(std::vector<UpdateQueue::Pending>& batch);
   bool apply_one(Working& w, const UpdateOp& op);
+  /// Band s's rules, copied into `w` on the batch's first write to them.
+  static ruleset::RuleSet& band_rules(Working& w, std::size_t s);
   void patch_engine(Working& w, std::size_t s,
                     const std::function<bool(engines::ClassifierEngine&)>& patch);
   void schedule_rebuild(std::size_t id, std::uint32_t attempt) const;
@@ -300,10 +315,6 @@ class ShardedClassifier final : public engines::ClassifierEngine {
   /// Exact-match front end; null when flow_cache_capacity == 0.
   std::unique_ptr<flow::FlowCache> cache_;
   util::RcuCell<ShardSet> snapshot_;
-  /// Shadow rulesets, one per shard, kept in step with the published
-  /// snapshot. Writer-plane only; the source of truth for factory
-  /// rebuilds (clone-less engines, quarantine reinstatement).
-  std::vector<ruleset::RuleSet> shadow_;
   std::size_t next_id_ = 0;
   /// Last member: its applier thread touches everything above, so it
   /// must start last and stop first.

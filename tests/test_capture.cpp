@@ -1,6 +1,7 @@
 // The capture data plane: deterministic pcap replay through the
 // ring-batched consumer, verdict counters against the reference
-// matcher, update coherence, and TPACKET-style block-sliced parsing.
+// matcher, verdicts under acked and concurrent rule updates, and
+// TPACKET-style block-sliced parsing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -154,7 +155,7 @@ TEST(PcapReplaySource, MoreRingsThanFramesTerminates) {
   cfg.rings = 6;
   capture::PcapReplaySource src(file, cfg);
   const auto engine = make_engine(rules);
-  capture::CaptureLoop loop(src, engine, rules);
+  capture::CaptureLoop loop(src, engine);
   EXPECT_EQ(loop.run(), 2u);
 }
 
@@ -178,7 +179,7 @@ TEST(CaptureLoop, CountersMatchReferenceVerdicts) {
     capture::PcapReplayConfig cfg;
     cfg.rings = 3;
     capture::PcapReplaySource src(file, cfg);
-    capture::CaptureLoop loop(src, engine, rules);
+    capture::CaptureLoop loop(src, engine);
     EXPECT_EQ(loop.run(), 300u);
 
     const runtime::CaptureRing total = loop.counters().total();
@@ -202,7 +203,7 @@ TEST(CaptureLoop, ReplayIsDeterministic) {
     cfg.rings = 2;
     cfg.loops = 3;
     capture::PcapReplaySource src(file, cfg);
-    capture::CaptureLoop loop(src, engine, rules);
+    capture::CaptureLoop loop(src, engine);
     loop.run();
     return loop.counters();
   };
@@ -227,7 +228,7 @@ TEST(CaptureLoop, LoopsMultiplyCounters) {
   capture::PcapReplayConfig cfg;
   cfg.loops = 4;
   capture::PcapReplaySource src(file, cfg);
-  capture::CaptureLoop loop(src, engine, rules);
+  capture::CaptureLoop loop(src, engine);
   EXPECT_EQ(loop.run(), 400u);
   const auto total = loop.counters().total();
   EXPECT_EQ(total.forwarded, 4u * ref.forwarded);
@@ -242,7 +243,7 @@ TEST(CaptureLoop, StartStopIsResponsiveOnEndlessReplay) {
   cfg.rings = 2;
   cfg.loops = 0;  // endless
   capture::PcapReplaySource src(file, cfg);
-  capture::CaptureLoop loop(src, engine, rules);
+  capture::CaptureLoop loop(src, engine);
   loop.start();
   loop.start();  // idempotent
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -253,25 +254,83 @@ TEST(CaptureLoop, StartStopIsResponsiveOnEndlessReplay) {
   EXPECT_EQ(loop.counters().total().frames, frozen);  // really stopped
 }
 
-TEST(CaptureLoop, PublishVerdictsFlipsActions) {
+TEST(CaptureLoop, VerdictsFollowAckedActionUpdates) {
   const auto rules = make_rules();
-  const auto engine = make_engine(rules);
+  auto engine = make_engine(rules);
   const auto file = make_capture(rules, 200);
   const auto ref = reference_verdicts(file, rules);
   ASSERT_GT(ref.forwarded, 0u);
 
-  // Same match results, every action flipped to drop: the verdict
-  // table alone must turn every reference forward into a drop.
-  std::vector<ruleset::Rule> flipped(rules.begin(), rules.end());
-  for (auto& r : flipped) r.action.kind = ruleset::Action::Kind::kDrop;
-
-  capture::PcapReplaySource src(file);
-  capture::CaptureLoop loop(src, engine, rules);
-  loop.publish_verdicts(ruleset::RuleSet(std::move(flipped)));
-  loop.run();
-  const auto total = loop.counters().total();
+  auto replay = [&] {
+    capture::PcapReplaySource src(file);
+    capture::CaptureLoop loop(src, engine);
+    loop.run();
+    return loop.counters().total();
+  };
+  // A catch-all drop at index 0 outranks every rule: once its insert
+  // is acked, every replayed frame must drop.
+  ASSERT_TRUE(engine.insert_rule(0, ruleset::Rule::any()));
+  auto total = replay();
   EXPECT_EQ(total.forwarded, 0u);
   EXPECT_EQ(total.dropped, 200u);
+  // Erasing it restores the reference verdicts.
+  ASSERT_TRUE(engine.erase_rule(0));
+  total = replay();
+  EXPECT_EQ(total.forwarded, ref.forwarded);
+  EXPECT_EQ(total.dropped, ref.dropped);
+}
+
+TEST(CaptureLoop, VerdictsStayExactUnderConcurrentUpdates) {
+  // Live capture on 2 rings while this thread inserts and erases, at
+  // random priorities, a forward rule no frame can hit (protocol 201).
+  // Each update shifts the indices of every lower-priority rule, but
+  // never changes a frame's verdict, so the counters must still equal
+  // the reference exactly: no frame may pair a shifted index with a
+  // stale action, through the shard fan-out or the flow cache.
+  const auto rules = make_rules();
+  runtime::ShardedConfig cfg;
+  cfg.shards = 4;
+  cfg.core_budget = 4;
+  cfg.reserved_cores = 2;  // the ring threads, as rfipcd reserves them
+  cfg.flow_cache_capacity = 1024;
+  runtime::ShardedClassifier engine(rules, cfg);
+  const auto file = make_capture(rules, 512, net::kLinktypeEthernet, 29);
+  const auto ref = reference_verdicts(file, rules);
+  ASSERT_GT(ref.forwarded, 0u);
+
+  constexpr std::uint64_t kLoops = 200;
+  capture::PcapReplayConfig pcfg;
+  pcfg.rings = 2;
+  pcfg.loops = kLoops;
+  capture::PcapReplaySource src(file, pcfg);
+  capture::CaptureLoop loop(src, engine);
+
+  ruleset::Rule unhittable = ruleset::Rule::any();
+  unhittable.protocol = net::ProtocolSpec::exactly(std::uint8_t{201});
+  unhittable.action = ruleset::Action::forward(1);
+  util::Xoshiro256 rng(31);
+  const std::uint64_t want = kLoops * file.records.size();
+  auto decided = [&] {
+    const runtime::CaptureRing t = loop.counters().total();
+    return t.forwarded + t.dropped;
+  };
+  std::size_t updates = 0;
+  loop.start();
+  while (decided() < want) {
+    const std::size_t at = rng.below(rules.size() + 1);
+    ASSERT_TRUE(engine.insert_rule(at, unhittable));
+    ASSERT_TRUE(engine.erase_rule(at));
+    updates += 2;
+  }
+  loop.stop();
+
+  const runtime::CaptureRing total = loop.counters().total();
+  EXPECT_EQ(total.frames, want);
+  EXPECT_EQ(total.parse_failures, kLoops * ref.parse_failures);
+  EXPECT_EQ(total.forwarded, kLoops * ref.forwarded) << updates << " updates";
+  EXPECT_EQ(total.dropped, kLoops * ref.dropped) << updates << " updates";
+  EXPECT_GT(updates, 0u);
+  EXPECT_EQ(engine.rule_count(), rules.size());
 }
 
 TEST(CaptureLoop, UnmatchedFramesAreDropped) {
@@ -284,28 +343,11 @@ TEST(CaptureLoop, UnmatchedFramesAreDropped) {
   const auto gen_rules = make_rules();
   const auto file = make_capture(gen_rules, 50);
   capture::PcapReplaySource src(file);
-  capture::CaptureLoop loop(src, engine, empty);
+  capture::CaptureLoop loop(src, engine);
   loop.run();
   const auto total = loop.counters().total();
   EXPECT_EQ(total.forwarded, 0u);
   EXPECT_EQ(total.dropped, 50u);
-}
-
-TEST(CaptureLoop, TinyBatchSizeStillCorrect) {
-  const auto rules = make_rules();
-  const auto engine = make_engine(rules);
-  const auto file = make_capture(rules, 97, net::kLinktypeEthernet, 9);
-  const auto ref = reference_verdicts(file, rules);
-  capture::PcapReplaySource src(file);
-  capture::CaptureLoopConfig cfg;
-  cfg.batch_size = 1;
-  capture::CaptureLoop loop(src, engine, rules, cfg);
-  loop.run();
-  const auto total = loop.counters().total();
-  EXPECT_EQ(total.frames, 97u);
-  EXPECT_EQ(total.batches, 97u);
-  EXPECT_EQ(total.forwarded, ref.forwarded);
-  EXPECT_EQ(total.dropped, ref.dropped);
 }
 
 TEST(CaptureCounters, WireJsonCarriesCaptureBlock) {
@@ -313,7 +355,7 @@ TEST(CaptureCounters, WireJsonCarriesCaptureBlock) {
   const auto engine = make_engine(rules);
   const auto file = make_capture(rules, 30);
   capture::PcapReplaySource src(file);
-  capture::CaptureLoop loop(src, engine, rules);
+  capture::CaptureLoop loop(src, engine);
   loop.run();
   runtime::StatsSnapshot snap;
   snap.capture = loop.counters();
@@ -456,11 +498,11 @@ TEST(BlockSliced, CaptureLoopOverBlockViewsMatchesPcapReplay) {
   };
 
   BlockSource bsrc(blk);
-  capture::CaptureLoop bloop(bsrc, engine, rules);
+  capture::CaptureLoop bloop(bsrc, engine);
   bloop.run();
 
   capture::PcapReplaySource psrc(file);
-  capture::CaptureLoop ploop(psrc, engine, rules);
+  capture::CaptureLoop ploop(psrc, engine);
   ploop.run();
 
   const auto bt = bloop.counters().total();

@@ -13,9 +13,12 @@
 // the back. After any prefix of that sequence the classifier holds
 // B + k rules (0 <= k <= T) and the probe's multi-match vector has
 // exactly bits [B, B+k) set — so k is a version fingerprint, the best
-// match must be B iff k > 0, and per reader the observed k sequence
-// must be unimodal (rises to a peak, then falls; any subsequence of a
-// unimodal sequence is unimodal, so one out-of-order snapshot fails).
+// match must be B iff k > 0 (and the action forward iff k > 0: the
+// appended rules forward, the base rules drop), and per reader the
+// observed k sequence must be unimodal (rises to a peak, then falls;
+// any subsequence of a unimodal sequence is unimodal, so one
+// out-of-order snapshot fails). The writer starts only once every
+// reader has made its first observation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -48,6 +51,14 @@ net::FiveTuple probe_tuple() {
 ruleset::Rule miss_rule(std::size_t i) {
   ruleset::Rule r;
   r.src_ip = {{0x0A000100u + static_cast<std::uint32_t>(i)}, 32};
+  return r;
+}
+
+/// The probe-matching rule the writer appends; it forwards, while the
+/// base rules drop.
+ruleset::Rule probe_rule() {
+  ruleset::Rule r = ruleset::Rule::any();
+  r.action = ruleset::Action::forward(1);
   return r;
 }
 
@@ -97,6 +108,11 @@ std::size_t check_result(const MatchResult& r, ReaderReport& report) {
     report.error =
         "best " + std::to_string(r.best) + " with k " + std::to_string(k);
   }
+  const bool forwards = r.action.kind == ruleset::Action::Kind::kForward;
+  if (forwards != (k > 0)) {
+    report.valid = false;
+    report.error = "action " + r.action.to_string() + " with k " + std::to_string(k);
+  }
   return k;
 }
 
@@ -109,6 +125,7 @@ TEST(RuntimeConcurrent, ReadersSeeOnlyPrefixConsistentSnapshotsInOrder) {
 
   const net::HeaderBits probe(probe_tuple());
   std::atomic<bool> done{false};
+  std::atomic<std::size_t> started{0};
   std::vector<ReaderReport> reports(kReaders);
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
@@ -136,6 +153,8 @@ TEST(RuntimeConcurrent, ReadersSeeOnlyPrefixConsistentSnapshotsInOrder) {
         } else {
           k = check_result(sc.classify(probe), rep);
         }
+        // The first observation, valid or not, counts toward the start.
+        if (rep.observations == 0) started.fetch_add(1, std::memory_order_release);
         if (!rep.valid) break;
         if (k < prev_k) descending = true;
         if (k > prev_k && descending) {
@@ -149,10 +168,12 @@ TEST(RuntimeConcurrent, ReadersSeeOnlyPrefixConsistentSnapshotsInOrder) {
     });
   }
 
-  // Writer: grow to kBase + kVersions, then shrink back, synchronously
-  // (each call waits for its publishing snapshot swap).
+  // Writer: once every reader has observed the base state, grow to
+  // kBase + kVersions, then shrink back, synchronously (each call waits
+  // for its publishing snapshot swap).
+  while (started.load(std::memory_order_acquire) < kReaders) std::this_thread::yield();
   for (std::size_t v = 0; v < kVersions; ++v) {
-    ASSERT_TRUE(sc.insert_rule(kBase + v, ruleset::Rule::any()));
+    ASSERT_TRUE(sc.insert_rule(kBase + v, probe_rule()));
   }
   for (std::size_t v = kVersions; v > 0; --v) {
     ASSERT_TRUE(sc.erase_rule(kBase + v - 1));
@@ -215,6 +236,7 @@ TEST(RuntimeConcurrent, WorkerFanOutSeesOnlyPrefixConsistentSnapshots) {
 
   const net::HeaderBits probe(probe_tuple());
   std::atomic<bool> done{false};
+  std::atomic<bool> started{false};
   ReaderReport rep;
   std::thread reader([&] {
     std::vector<net::HeaderBits> batch_in(8, probe);
@@ -233,6 +255,7 @@ TEST(RuntimeConcurrent, WorkerFanOutSeesOnlyPrefixConsistentSnapshots) {
           rep.error = "torn batch across workers";
         }
       }
+      if (rep.observations == 0) started.store(true, std::memory_order_release);
       if (!rep.valid) break;
       if (k < prev_k) descending = true;
       if (k > prev_k && descending) {
@@ -244,8 +267,9 @@ TEST(RuntimeConcurrent, WorkerFanOutSeesOnlyPrefixConsistentSnapshots) {
     }
   });
 
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
   for (std::size_t v = 0; v < kVersions; ++v) {
-    ASSERT_TRUE(sc.insert_rule(kBase + v, ruleset::Rule::any()));
+    ASSERT_TRUE(sc.insert_rule(kBase + v, probe_rule()));
   }
   for (std::size_t v = kVersions; v > 0; --v) {
     ASSERT_TRUE(sc.erase_rule(kBase + v - 1));
