@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
               util::fmt_group(forwarded).c_str(), util::fmt_group(dropped).c_str());
 
   const auto snap = gateway.stats_snapshot();
-  util::TextTable stats({"shard", "batches", "p50 latency (us)", "p99 latency (us)"});
+  util::TextTable stats({"shard", "engine calls", "p50 latency (us)", "p99 latency (us)"});
   for (std::size_t s = 0; s < snap.shards.size(); ++s) {
     stats.add_row({std::to_string(s), std::to_string(snap.shards[s].batches),
                    util::fmt_double(static_cast<double>(snap.shards[s].p50_ns) / 1e3, 1),

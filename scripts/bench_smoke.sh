@@ -44,11 +44,10 @@
 # on disk), one row per --fsync policy of rfipcd's journal.
 #
 # The benches' own [PASS]/[FAIL] checks gate the exit status, so a perf
-# regression that trips a check fails the smoke too. That includes the
-# multi-core shard-scaling gate in bench_runtime_batch (4-shard fan-out
-# >= 0.7x linear over 1 shard), which prints [SKIP] and gates nothing
-# on machines with fewer than 4 cores, and the 8-shard no-inversion
-# floor, which gates on every machine.
+# regression that trips a check fails the smoke too. That includes
+# bench_runtime_batch's two lane-scaling gates (4 lanes >= 0.7x linear
+# over 1 lane on 4 shards, and 4 lanes >= 1 lane on 8 shards), which
+# print [SKIP] and gate nothing on machines with fewer than 4 cores.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

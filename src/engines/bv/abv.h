@@ -11,6 +11,7 @@
 // conservative filter (aggregate 0 => chunk all zero).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -49,16 +50,21 @@ class AbvEngine final : public ClassifierEngine {
 
   /// Field-axis memory + aggregate overhead bits.
   std::uint64_t memory_bits() const;
-  /// Access accounting since construction (classify is const; the
-  /// counters are mutable telemetry).
-  const AbvStats& stats() const { return stats_; }
+  /// Access accounting since construction. classify is const and may
+  /// run on several threads at once, so the counters are atomic
+  /// telemetry, read here as a snapshot.
+  AbvStats stats() const {
+    return {chunks_touched_.load(std::memory_order_relaxed),
+            chunks_total_.load(std::memory_order_relaxed)};
+  }
 
  private:
   BvDecompositionEngine base_;
   AbvConfig config_;
   /// aggregates_[field][interval] = ceil(N/A)-bit OR-folded vector.
   std::vector<std::vector<util::BitVector>> aggregates_;
-  mutable AbvStats stats_;
+  mutable std::atomic<std::uint64_t> chunks_touched_{0};
+  mutable std::atomic<std::uint64_t> chunks_total_{0};
 };
 
 }  // namespace rfipc::engines::bv

@@ -6,8 +6,9 @@
 // wake, join — which on small machines cost more than the
 // classification itself and made throughput FALL as shards were added
 // (the BENCH_runtime.json inversion). This replaces it with long-lived
-// per-shard worker threads that each own a bounded lock-free SPSC ring
-// (util/spsc_ring.h) of plain-data work descriptors:
+// worker threads, one per extra lane of the fan-out, that each own a
+// bounded lock-free SPSC ring (util/spsc_ring.h) of plain-data work
+// descriptors:
 //
 //   dispatcher --SPSC ring--> worker 0   (runs tasks to completion)
 //              --SPSC ring--> worker 1
@@ -15,8 +16,9 @@
 //
 // * Descriptors are POD (function pointer + context + index): no
 //   futures, no std::function, no allocation on the hot path.
-// * A stack-owned Completion counts outstanding descriptors; the
-//   dispatcher merges per-worker results itself once it hits zero.
+// * A stack-owned Completion counts outstanding descriptors; once it
+//   hits zero every worker has written its share of the results and
+//   the dispatcher returns.
 // * One wait mechanism on both sides: spin kSpinRounds cpu_relax()
 //   rounds (covers the next batch arriving back-to-back), then block —
 //   an idle worker on its lane's condvar until the next doorbell, the
@@ -45,9 +47,9 @@ namespace rfipc::runtime {
 
 class ShardWorkerPool {
  public:
-  /// Descriptor slots per worker ring. A batch hands each worker a few
-  /// descriptors at most, so a full ring means the worker is a whole
-  /// ring of batches behind.
+  /// Descriptor slots per worker ring. A batch hands each worker one
+  /// descriptor (its slice) at most, so a full ring means the worker is
+  /// a whole ring of batches behind.
   static constexpr std::size_t kRingCapacity = 64;
 
   struct Options {

@@ -1,5 +1,6 @@
 #include "runtime/sharded_classifier.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -34,7 +35,7 @@ std::size_t effective_shards(const ShardedConfig& cfg, std::size_t rules) {
 /// One core budget → one worker crew: the fan-out runs
 /// min(shards, core_budget - reserved_cores) lanes, never below one,
 /// with the dispatching caller as lane 0 — so the crew holds lanes - 1
-/// threads and a 1-core box gets a fully inline serial fan-out.
+/// threads and a 1-core box walks every batch inline.
 ShardWorkerPool::Options worker_options(const ShardedConfig& cfg,
                                         std::size_t shards) {
   const std::size_t lanes =
@@ -146,35 +147,6 @@ MatchResult ShardedClassifier::classify(const net::HeaderBits& header) const {
   return out;
 }
 
-void ShardedClassifier::merge(const ShardSet& snap, const FanScratch& scratch,
-                              std::span<MatchResult> results, bool want_multi) const {
-  const std::size_t total = snap.bases.back();
-  for (auto& r : results) r.reset_for(total, want_multi);
-  // Shard-major: each produced buffer streams through once.
-  for (const std::size_t s : scratch.eligible) {
-    // A faulted shard produced nothing this batch (and a stale buffer
-    // from an earlier batch must not leak in).
-    if (scratch.produced[s] == 0) continue;
-    const std::vector<MatchResult>& buf = scratch.local[s];
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const MatchResult& r = buf[i];
-      MatchResult& out = results[i];
-      if (r.has_match()) {
-        const std::size_t global = snap.bases[s] + r.best;
-        if (global < out.best) {
-          out.best = global;
-          out.action = (*snap.shards[s].rules)[r.best].action;
-        }
-      }
-      if (!want_multi) continue;
-      for (std::size_t b = r.multi.first_set(); b != util::BitVector::npos;
-           b = r.multi.next_set(b + 1)) {
-        out.multi.set(snap.bases[s] + b);
-      }
-    }
-  }
-}
-
 bool ShardedClassifier::run_contained(const Shard& shard,
                                       std::span<const net::HeaderBits> headers,
                                       std::span<MatchResult> out,
@@ -191,26 +163,102 @@ bool ShardedClassifier::run_contained(const Shard& shard,
     record_shard_fault(shard, headers.size());
     return false;
   }
-  shard.health->consecutive_faults.store(0, std::memory_order_relaxed);
+  // Every lane calls every band: only write the shared record to end a
+  // streak, so healthy calls never bounce its cache line.
+  std::atomic<std::uint32_t>& streak = shard.health->consecutive_faults;
+  if (streak.load(std::memory_order_relaxed) != 0) {
+    streak.store(0, std::memory_order_relaxed);
+  }
   stats_.record_shard_batch(shard.id, elapsed_ns(start));
   return true;
 }
 
-void ShardedClassifier::run_shard(const FanContext& ctx, std::size_t slot) const {
-  FanScratch& scratch = *ctx.scratch;
-  const std::size_t s = scratch.eligible[slot];
-  std::vector<MatchResult>& buf = scratch.local[s];
-  if (buf.size() < ctx.headers.size()) buf.resize(ctx.headers.size());
-  const std::span<MatchResult> out(buf.data(), ctx.headers.size());
-  // A faulted shard leaves produced[s] at 0: merge skips it.
-  if (run_contained(ctx.snap->shards[s], ctx.headers, out, ctx.opts)) {
-    scratch.produced[s] = 1;
+void ShardedClassifier::walk_slice(const FanContext& ctx, std::size_t lane) const {
+  const ShardSet& snap = *ctx.snap;
+  LaneScratch& scratch = ctx.scratch->lanes[lane];
+  const std::size_t n = ctx.headers.size();
+  const std::size_t lo = n * lane / ctx.lanes;
+  const std::size_t len = n * (lane + 1) / ctx.lanes - lo;
+  const std::span<const net::HeaderBits> headers = ctx.headers.subspan(lo, len);
+  const std::span<MatchResult> out = ctx.results.subspan(lo, len);
+  const std::size_t total = snap.bases.back();
+  if (scratch.band.size() < len) scratch.band.resize(len);
+
+  // Bands are walked in ascending order, and band s owns strictly
+  // higher priorities (smaller global indices) than band s+1, so the
+  // first band that matches a packet answers its `best`. A faulted
+  // band's packets fall through to the next band, as if it matched
+  // nothing.
+  if (ctx.opts.want_multi) {
+    // Every band may add bits, so every band sees the whole slice.
+    for (MatchResult& r : out) r.reset_for(total, true);
+    const std::span<MatchResult> band(scratch.band.data(), len);
+    for (const std::size_t s : ctx.scratch->eligible) {
+      if (!run_contained(snap.shards[s], headers, band, ctx.opts)) continue;
+      const std::size_t base = snap.bases[s];
+      const ruleset::RuleSet& rules = *snap.shards[s].rules;
+      for (std::size_t p = 0; p < len; ++p) {
+        const MatchResult& r = band[p];
+        MatchResult& o = out[p];
+        if (r.has_match() && !o.has_match()) {
+          o.best = base + r.best;
+          o.action = rules[r.best].action;
+        }
+        for (std::size_t b = r.multi.first_set(); b != util::BitVector::npos;
+             b = r.multi.next_set(b + 1)) {
+          o.multi.set(base + b);
+        }
+      }
+    }
+    return;
+  }
+
+  // Best-only: a band is handed only the packets no higher band
+  // matched, so the top bands answer most traffic and the tail is
+  // rarely touched. Until one band answers, the band reads the slice in
+  // place and writes `out` directly; after that, it reads the packets
+  // still unmatched, compacted into the lane's scratch, and writes the
+  // lane's band buffer.
+  if (scratch.headers.size() < len) {
+    scratch.headers.resize(len);
+    scratch.pos.resize(len);
+  }
+  bool in_place = true;
+  std::size_t pending = len;
+  for (const std::size_t s : ctx.scratch->eligible) {
+    const std::span<const net::HeaderBits> in =
+        in_place ? headers : std::span<const net::HeaderBits>(scratch.headers.data(), pending);
+    const std::span<MatchResult> res =
+        in_place ? out : std::span<MatchResult>(scratch.band.data(), pending);
+    if (!run_contained(snap.shards[s], in, res, ctx.opts)) continue;
+    const std::size_t base = snap.bases[s];
+    const ruleset::RuleSet& rules = *snap.shards[s].rules;
+    std::size_t left = 0;
+    for (std::size_t j = 0; j < pending; ++j) {
+      const std::size_t p = in_place ? j : scratch.pos[j];
+      const std::size_t local = res[j].best;  // res[j] is out[p] in place
+      if (local != MatchResult::kNoMatch) {
+        out[p].best = base + local;
+        out[p].action = rules[local].action;
+      } else {
+        scratch.headers[left] = in[j];
+        scratch.pos[left] = p;
+        ++left;
+      }
+    }
+    in_place = false;
+    pending = left;
+    if (pending == 0) return;
+  }
+  // No band answered: `out` holds nothing, or a faulted band's output.
+  if (in_place) {
+    for (MatchResult& r : out) r.reset_for(total, false);
   }
 }
 
-void ShardedClassifier::run_shard_entry(void* ctx, std::size_t slot) {
+void ShardedClassifier::walk_slice_entry(void* ctx, std::size_t lane) {
   const auto* c = static_cast<const FanContext*>(ctx);
-  c->self->run_shard(*c, slot);
+  c->self->walk_slice(*c, lane);
 }
 
 void ShardedClassifier::fan_out(const ShardSet& snap,
@@ -232,84 +280,29 @@ void ShardedClassifier::fan_out(const ShardSet& snap,
     }
     eligible.push_back(s);
   }
-  if (eligible.empty()) {
-    for (auto& r : results) r.reset_for(snap.bases.back(), opts.want_multi);
-    return;
-  }
 
-  // One shard owning the whole priority space needs no rebase and no
-  // merge: classify straight into the caller's results on this thread.
-  if (eligible.size() == 1 && snap.shards.size() == 1) {
-    if (!run_contained(snap.shards[0], headers, results, opts)) {
-      for (auto& r : results) r.reset_for(snap.bases.back(), opts.want_multi);
-      return;
-    }
-    const ruleset::RuleSet& rules = *snap.shards[0].rules;
-    for (auto& r : results) {
-      r.action = r.has_match() ? rules[r.best].action : ruleset::Action::drop();
-    }
-    return;
+  // One contiguous slice of at least kMinLaneRows packets per lane.
+  // Lane 0 is the dispatching caller itself: it hands lanes 1..L-1
+  // their descriptors first, walks its own slice inline, then waits —
+  // run-to-completion, no per-task futures, no hand-off at all when
+  // only one lane runs. The caller's RCU pin (held across this call)
+  // keeps `snap` and the shard engines alive for the workers.
+  const std::size_t lanes = std::min(workers_.worker_count() + 1,
+                                     std::max<std::size_t>(headers.size() / kMinLaneRows, 1));
+  if (scratch.lanes.size() < lanes) scratch.lanes.resize(lanes);
+  FanContext ctx{.self = this,
+                 .snap = &snap,
+                 .headers = headers,
+                 .results = results,
+                 .opts = opts,
+                 .scratch = &scratch,
+                 .lanes = lanes};
+  ShardWorkerPool::Completion done;
+  for (std::size_t lane = 1; lane < lanes; ++lane) {
+    workers_.dispatch(lane - 1, &ShardedClassifier::walk_slice_entry, &ctx, lane, done);
   }
-
-  if (scratch.local.size() < snap.shards.size()) {
-    scratch.local.resize(snap.shards.size());
-  }
-  scratch.produced.assign(snap.shards.size(), 0);
-
-  FanContext ctx;
-  ctx.self = this;
-  ctx.snap = &snap;
-  ctx.headers = headers;
-  ctx.opts = opts;
-  ctx.scratch = &scratch;
-
-  // Round-robin eligible shards across lanes. Lane 0 is the
-  // dispatching caller itself: it hands lanes 1..L-1 their descriptors
-  // first, runs its own share inline, then waits — run-to-completion,
-  // no per-task futures, no hand-off at all when only one lane exists.
-  // The caller's RCU pin (held across this call) keeps `snap` and the
-  // shard engines alive for the workers.
-  const std::size_t lanes = workers_.worker_count() + 1;
-  if (lanes == 1 || eligible.size() == 1) {
-    if (!opts.want_multi && eligible.size() > 1) {
-      // Priority-ordered serial walk with band early exit: eligible is
-      // ascending and band s owns strictly higher priorities (smaller
-      // global indices) than band s+1, so once every packet in the
-      // batch has matched, the remaining bands cannot change any
-      // answer — merge() already skips their unproduced buffers. This
-      // is what makes wide banding pay at large N: the top bands
-      // answer most traffic and the long tail is never touched.
-      std::vector<unsigned char>& matched = scratch.matched;
-      matched.assign(headers.size(), 0);
-      std::size_t remaining = headers.size();
-      for (std::size_t i = 0; i < eligible.size() && remaining > 0; ++i) {
-        run_shard(ctx, i);
-        const std::size_t s = eligible[i];
-        if (scratch.produced[s] == 0) continue;  // faulted: matched nothing
-        const std::vector<MatchResult>& buf = scratch.local[s];
-        for (std::size_t p = 0; p < headers.size(); ++p) {
-          if (matched[p] == 0 && buf[p].has_match()) {
-            matched[p] = 1;
-            --remaining;
-          }
-        }
-      }
-    } else {
-      for (std::size_t i = 0; i < eligible.size(); ++i) run_shard(ctx, i);
-    }
-  } else {
-    ShardWorkerPool::Completion done;
-    for (std::size_t i = 0; i < eligible.size(); ++i) {
-      const std::size_t lane = i % lanes;
-      if (lane != 0) {
-        workers_.dispatch(lane - 1, &ShardedClassifier::run_shard_entry, &ctx, i,
-                          done);
-      }
-    }
-    for (std::size_t i = 0; i < eligible.size(); i += lanes) run_shard(ctx, i);
-    workers_.wait(done);
-  }
-  merge(snap, scratch, results, opts.want_multi);
+  walk_slice(ctx, 0);
+  workers_.wait(done);
 }
 
 void ShardedClassifier::classify_batch(std::span<const net::HeaderBits> headers,
@@ -320,7 +313,7 @@ void ShardedClassifier::classify_batch(std::span<const net::HeaderBits> headers,
   }
   if (headers.empty()) return;
 
-  // All per-batch state (eligible set, per-shard buffers, miss
+  // All per-batch state (eligible set, per-lane buffers, miss
   // compaction) lives in one pooled scratch: zero allocation per batch
   // in steady state, re-entrant because each in-flight call borrows
   // its own entry.

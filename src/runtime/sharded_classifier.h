@@ -5,16 +5,18 @@
 // The ruleset is partitioned into S contiguous priority bands; band s
 // becomes an independent shard engine (any spec the factory accepts, so
 // a shard is "one pipeline" of whichever architecture you pick). A
-// batch of packed headers is classified by every shard — spread across
-// long-lived run-to-completion shard workers fed over bounded SPSC
-// rings (runtime/shard_workers.h), with the dispatching caller running
-// its own share inline as lane 0 — and the per-shard results are
-// merged back by GLOBAL priority: the winning rule is the matching
-// shard-local winner with the smallest global index, and the
-// multi-match vector is the union of the shard vectors rebased to
-// global rule indices. Lane count derives from one core budget
-// (core_budget/reserved_cores below); a budget of one core collapses
-// the whole fan-out to an inline serial loop with no hand-off at all.
+// batch of packed headers is split into contiguous slices, one per
+// lane — the dispatching caller is lane 0, long-lived run-to-completion
+// shard workers fed over bounded SPSC rings (runtime/shard_workers.h)
+// are the rest — and each lane walks every band in priority order over
+// its own slice, writing straight into its slice of the results with
+// band-local indices rebased to global ones. A best-only walk hands
+// each band only the packets no higher band matched; a multi-match
+// walk visits every band and ORs in its rebased bits. This is how the
+// paper scales StrideBV (Sections IV-A and V-A): more packets against a
+// full copy of the rules. Lane count derives from one core budget
+// (core_budget/reserved_cores below); a budget of one core walks the
+// whole batch inline with no hand-off at all.
 //
 // Concurrency contract (lock-free reads, RCU writes): classify() and
 // classify_batch() may be called from any number of threads at any
@@ -38,13 +40,14 @@
 // Failure containment: a shard whose engine throws or returns a
 // corrupted result (best index out of range — what a flaky stage
 // memory would produce; see engines::FaultInjectorEngine for the test
-// rig) is contained, not propagated. After `quarantine_after`
-// consecutive faults the shard is quarantined: lookups keep being
-// served from the healthy shards with StatsSnapshot::degraded set (its
-// priority band temporarily yields no matches). If rebuild is enabled,
-// the update plane rebuilds the shard from the band rules its snapshot
-// carries, with exponential backoff, and reinstates it under fresh
-// health.
+// rig) is contained, not propagated: that call's packets fall through
+// to the next band, as if the band matched nothing. After
+// `quarantine_after` consecutive faulting calls the shard is
+// quarantined: lookups keep being served from the healthy shards with
+// StatsSnapshot::degraded set (its priority band temporarily yields no
+// matches). If rebuild is enabled, the update plane rebuilds the shard
+// from the band rules its snapshot carries, with exponential backoff,
+// and reinstates it under fresh health.
 //
 // Erasing the last rule of a band collapses the band (the shard is
 // removed and the bases merge) instead of failing; inserting into a
@@ -78,13 +81,20 @@
 
 namespace rfipc::runtime {
 
+/// Fewest packets the fan-out hands one lane: a batch is split into
+/// contiguous slices of at least this many, so a small batch uses fewer
+/// lanes and one under 2 * kMinLaneRows never leaves the caller.
+inline constexpr std::size_t kMinLaneRows = 16;
+
 /// Rebuild backoff growth per failed attempt, and its ceiling.
 inline constexpr double kRebuildBackoffFactor = 2.0;
 inline constexpr std::uint32_t kRebuildBackoffMaxMs = 1000;
 
 /// What to do about a shard that keeps faulting.
 struct FailurePolicy {
-  /// Consecutive faults before a shard is quarantined (min 1).
+  /// Consecutive faulting engine calls before a shard is quarantined
+  /// (min 1). A call is one lane's slice reaching the band, so one
+  /// batch split over L lanes can charge a band up to L faults.
   std::size_t quarantine_after = 4;
   /// Rebuild quarantined shards in the background and reinstate them.
   bool rebuild = true;
@@ -112,9 +122,10 @@ struct ShardedConfig {
   std::string engine_spec = "stridebv:4";
   /// Total cores this process may spend; 0 = hardware_concurrency().
   /// The fan-out runs min(shards, core_budget - reserved_cores) lanes,
-  /// never fewer than one: the dispatching caller is lane 0 and each
-  /// further lane is a run-to-completion shard worker, so a budget of
-  /// one core classifies fully inline with no worker threads at all.
+  /// never fewer than one, each walking every band over its own slice
+  /// of the batch: the dispatching caller is lane 0 and each further
+  /// lane is a run-to-completion shard worker, so a budget of one core
+  /// classifies fully inline with no worker threads at all.
   std::size_t core_budget = 0;
   /// Cores already spoken for by co-resident threads (epoll reactor,
   /// update waiter, capture threads, ...). rfipcd passes
@@ -232,60 +243,66 @@ class ShardedClassifier final : public engines::ClassifierEngine {
     bool dirty = false;
   };
 
+  /// One lane's walk state. Buffers keep their capacity across
+  /// batches (see DESIGN.md "Execution model").
+  struct LaneScratch {
+    /// Best-only walk: the slice's packets no band has matched yet, and
+    /// their positions in the slice.
+    std::vector<net::HeaderBits> headers;
+    std::vector<std::size_t> pos;
+    /// One band's results for the packets it was handed (the first
+    /// band of a best-only walk writes the caller's results instead).
+    std::vector<engines::MatchResult> band;
+  };
+
   /// Dispatcher-side per-batch state, pooled via borrow_scratch() so
-  /// the fan-out allocates nothing in steady state (buffers keep their
-  /// capacity across batches; see DESIGN.md "Execution model").
+  /// the fan-out allocates nothing in steady state.
   struct FanScratch {
     std::vector<std::size_t> eligible;
-    /// Per-shard result buffers, indexed by shard slot. Grown lazily
-    /// and never shrunk; `produced[s]` marks the buffers the CURRENT
-    /// batch filled (a stale buffer from an earlier batch or a faulted
-    /// shard must not reach merge()).
-    std::vector<std::vector<engines::MatchResult>> local;
-    std::vector<unsigned char> produced;
-    /// Serial best-only walk: which packets already matched (the
-    /// remaining lower-priority bands cannot improve them).
-    std::vector<unsigned char> matched;
+    std::vector<LaneScratch> lanes;  // indexed by lane
     /// Flow-cache miss sub-batch results.
     std::vector<engines::MatchResult> miss;
     /// Flow-cache miss compaction (headers + caller indices).
     engines::ScratchArena arena;
   };
 
-  /// What a shard worker needs to run one eligible shard of one batch:
-  /// plain data, stack-owned by the dispatcher for the batch's
-  /// duration (the dispatcher's RCU pin keeps `snap` alive).
+  /// What a lane needs to walk its slice of one batch: plain data,
+  /// stack-owned by the dispatcher for the batch's duration (the
+  /// dispatcher's RCU pin keeps `snap` alive).
   struct FanContext {
     const ShardedClassifier* self = nullptr;
     const ShardSet* snap = nullptr;
     std::span<const net::HeaderBits> headers;
+    std::span<engines::MatchResult> results;
     engines::BatchOptions opts;
     FanScratch* scratch = nullptr;
+    std::size_t lanes = 1;
   };
 
   static std::size_t owning_shard(const std::vector<std::size_t>& bases, std::size_t g);
 
   // Reader plane.
-  /// Fans `headers` out to every healthy shard of `snap` — across the
+  /// Splits `headers` into one contiguous slice per lane — across the
   /// run-to-completion shard workers when lanes > 1, inline otherwise
-  /// — and merges by global priority into `results`. No stats.
+  /// — and has each lane walk the healthy bands of `snap` over its
+  /// slice into `results`. No stats.
   void fan_out(const ShardSet& snap, std::span<const net::HeaderBits> headers,
                std::span<engines::MatchResult> results,
                const engines::BatchOptions& opts, FanScratch& scratch) const;
   /// Runs `shard`'s engine on `headers` into `out` under fault
   /// containment: a throw or an out-of-range result charges the shard
   /// a fault (quarantining it after quarantine_after in a row); a good
-  /// batch clears its fault streak and records its latency. Returns
+  /// call clears its fault streak and records its latency. Returns
   /// whether `out` holds valid results.
   bool run_contained(const Shard& shard, std::span<const net::HeaderBits> headers,
                      std::span<engines::MatchResult> out,
                      const engines::BatchOptions& opts) const;
-  /// Classifies eligible shard slot `slot` into its scratch buffer.
-  void run_shard(const FanContext& ctx, std::size_t slot) const;
+  /// Lane `lane`'s share of a fan-out: walks every eligible band in
+  /// priority order over its slice of ctx.headers, straight into the
+  /// same slice of ctx.results.
+  void walk_slice(const FanContext& ctx, std::size_t lane) const;
   /// ShardWorkerPool task trampoline: ctx is a FanContext.
-  static void run_shard_entry(void* ctx, std::size_t slot);
-  void merge(const ShardSet& snap, const FanScratch& scratch,
-             std::span<engines::MatchResult> results, bool want_multi) const;
+  static void walk_slice_entry(void* ctx, std::size_t lane);
   std::unique_ptr<FanScratch> borrow_scratch() const;
   void return_scratch(std::unique_ptr<FanScratch> scratch) const;
   bool validate_results(std::span<const engines::MatchResult> results,
@@ -306,7 +323,7 @@ class ShardedClassifier final : public engines::ClassifierEngine {
   mutable RuntimeStats stats_;
   /// Long-lived run-to-completion shard workers fed over SPSC rings;
   /// holds `lanes - 1` threads (the dispatching caller is lane 0), so
-  /// it is empty when the core budget only affords serial fan-out.
+  /// it is empty when the core budget only affords one lane.
   mutable ShardWorkerPool workers_;
   /// Free list of pooled dispatcher scratch; one entry is borrowed per
   /// in-flight classify_batch and returned with capacity intact.

@@ -33,7 +33,9 @@ class LatencyHistogram {
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
 };
 
-/// Per-shard latency digest inside a snapshot.
+/// Per-shard latency digest inside a snapshot. One sample per engine
+/// call: each lane's slice that reaches the band is one call, so a
+/// batch split over L lanes adds up to L samples per band.
 struct ShardLatency {
   std::uint64_t batches = 0;
   std::uint64_t p50_ns = 0;
@@ -53,9 +55,9 @@ struct ShardHealthDigest {
 
 /// One run-to-completion shard worker's hand-off counters (filled by
 /// the ShardedClassifier from its ShardWorkerPool; empty when the core
-/// budget made the fan-out serial).
+/// budget allows only one lane).
 struct WorkerDigest {
-  std::uint64_t tasks = 0;        // shard-batch descriptors executed
+  std::uint64_t tasks = 0;        // slice walks executed
   std::uint64_t ring_stalls = 0;  // dispatches that found the ring full
   std::uint64_t parks = 0;        // idle sleeps
   std::size_t ring_depth = 0;     // descriptors queued at snapshot time
@@ -182,7 +184,8 @@ class RuntimeStats {
 
   /// One completed batch of `packets` headers, `matches` of which hit.
   void record_batch(std::uint64_t packets, std::uint64_t matches);
-  /// One shard finished its slice of a batch in `latency_ns`.
+  /// One shard engine call (one lane's slice of a batch reaching the
+  /// band) finished in `latency_ns`.
   void record_shard_batch(std::size_t shard, std::uint64_t latency_ns);
   /// One rule insert/erase applied.
   void record_update();

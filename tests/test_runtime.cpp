@@ -169,6 +169,10 @@ TEST(ShardedClassifier, StatsCountPacketsBatchesAndMatches) {
   const auto rules = ruleset::generate_firewall(32, 17);  // has default rule
   ShardedConfig cfg;
   cfg.shards = 2;
+  // Shard `batches` counts engine calls, one per lane slice that
+  // reaches the band: one lane makes that exactly one call per band
+  // per classify_batch (both bands see traffic on this trace).
+  cfg.core_budget = 1;
   const ShardedClassifier sc(rules, cfg);
   const auto headers = packed_trace(rules, 64, 18);
   std::vector<MatchResult> out(headers.size());
@@ -189,27 +193,66 @@ TEST(ShardedClassifier, StatsCountPacketsBatchesAndMatches) {
   EXPECT_EQ(sc.stats_snapshot().packets, 0u);
 }
 
-// Regression for the scaling inversion: shards > cores must degrade to
-// the inline serial fan-out (or few lanes), never oversubscribe, and
-// stay exactly correct in every lane configuration.
+// Regression for the scaling inversion, and coverage for the slice
+// walk: shards > cores must degrade to fewer lanes (down to the inline
+// walk), never oversubscribe, and stay exactly correct for every lane
+// count, slice boundary (batches below, at and above kMinLaneRows),
+// band count, match mode and flow-cache setting.
 TEST(ShardedClassifier, ShardsExceedingCoreBudgetStayCorrect) {
   const auto rules = ruleset::generate_firewall(128, 29);
   const engines::LinearSearchEngine golden(rules);
-  const auto headers = packed_trace(rules, 200, 30);
+  ruleset::TraceConfig tcfg;
+  tcfg.size = 1000;
+  tcfg.seed = 30;
+  const auto tuples = ruleset::generate_trace(rules, tcfg);
+  std::vector<net::HeaderBits> headers;
+  std::vector<MatchResult> want;
+  for (const auto& t : tuples) {
+    headers.emplace_back(t);
+    want.push_back(golden.classify(headers.back()));
+    const auto first = rules.first_match(t);
+    ASSERT_EQ(want.back().best, first.value_or(MatchResult::kNoMatch));
+    if (first) want.back().action = rules[*first].action;
+  }
+  const std::size_t sizes[] = {1, kMinLaneRows - 1, kMinLaneRows, kMinLaneRows + 1,
+                               63, 200, 1000};
   // Core budgets: a 1-core box (fully inline), a 2-core box
   // (dispatcher + 1 worker), and lane counts below and above the shard
   // count (16 clamps to one lane per shard).
   for (const std::size_t budget : {1u, 2u, 3u, 16u}) {
-    ShardedConfig cfg;
-    cfg.shards = 9;  // more shards than any small box has cores
-    cfg.core_budget = budget;
-    const ShardedClassifier sc(rules, cfg);
-    std::vector<MatchResult> got(headers.size());
-    sc.classify_batch(headers, got);
-    sc.classify_batch(headers, got);  // pooled-scratch reuse round
-    for (std::size_t i = 0; i < headers.size(); ++i) {
-      ASSERT_EQ(got[i].best, golden.classify(headers[i]).best)
-          << "budget=" << budget << " packet " << i;
+    for (const std::size_t shards : {2u, 4u, 9u}) {
+      for (const std::size_t cache : {0u, 4096u}) {
+        ShardedConfig cfg;
+        cfg.shards = shards;
+        cfg.core_budget = budget;
+        cfg.flow_cache_capacity = cache;
+        const ShardedClassifier sc(rules, cfg);
+        for (const bool multi : {false, true}) {
+          for (const std::size_t size : sizes) {
+            std::vector<MatchResult> got(size);
+            // The second round reuses pooled scratch (and, with the
+            // cache on, is answered partly from it).
+            for (int round = 0; round < 2; ++round) {
+              sc.classify_batch({headers.data(), size}, got,
+                                engines::BatchOptions{.want_multi = multi});
+              for (std::size_t i = 0; i < size; ++i) {
+                const auto where = ::testing::Message()
+                                   << "budget=" << budget << " shards=" << shards
+                                   << " cache=" << cache << " multi=" << multi
+                                   << " size=" << size << " round=" << round
+                                   << " packet " << i;
+                ASSERT_EQ(got[i].best, want[i].best) << where;
+                ASSERT_EQ(got[i].action, want[i].action) << where;
+                if (multi) {
+                  ASSERT_EQ(got[i].multi, want[i].multi) << where;
+                } else if (cache == 0) {  // a cache hit may carry a stored vector
+                  ASSERT_TRUE(got[i].multi.empty()) << where;
+                }
+              }
+            }
+          }
+        }
+      }
     }
   }
 }
@@ -231,7 +274,7 @@ TEST(ShardedClassifier, WorkerDigestsAppearInStats) {
     worker_tasks += w.tasks;
     EXPECT_EQ(w.ring_depth, 0u);  // drained between batches
   }
-  // 4 shards round-robined over 3 lanes: lanes 1 and 2 carry work.
+  // 256 packets split over 3 lanes: lanes 1 and 2 walk their slices.
   EXPECT_GT(worker_tasks, 0u);
   EXPECT_NE(snap.to_json().find("\"workers\""), std::string::npos);
   EXPECT_NE(snap.to_string().find("worker0"), std::string::npos);

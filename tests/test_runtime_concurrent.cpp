@@ -221,12 +221,22 @@ TEST(RuntimeConcurrent, MultipleProducersSerializeThroughTheQueue) {
   EXPECT_EQ(sc.classify(probe).best, 0u);
 }
 
+// Worker lanes these tests force: a core budget of 4 over 3 shards buys
+// 3 lanes (dispatcher + 2 workers) even on a 1-core CI box.
+constexpr std::size_t kLanes = 3;
+
+std::uint64_t worker_tasks(const ShardedClassifier& sc) {
+  std::uint64_t tasks = 0;
+  for (const auto& w : sc.stats_snapshot().workers) tasks += w.tasks;
+  return tasks;
+}
+
 // The same prefix-consistency invariant, but with the fan-out FORCED
-// through the run-to-completion workers (a core budget of 4 buys the
-// lanes even on a 1-core CI box, so it exercises the SPSC hand-off). Under
-// TSan this is the dispatcher/worker/RCU interleaving stress: workers
-// read the snapshot the dispatcher pinned while the writer publishes
-// new ones.
+// through the run-to-completion workers: batches of kLanes *
+// kMinLaneRows packets give every lane a slice, so it exercises the
+// SPSC hand-off. Under TSan this is the dispatcher/worker/RCU
+// interleaving stress: workers read the snapshot the dispatcher pinned
+// while the writer publishes new ones.
 TEST(RuntimeConcurrent, WorkerFanOutSeesOnlyPrefixConsistentSnapshots) {
   ShardedConfig cfg;
   cfg.shards = 3;
@@ -239,13 +249,13 @@ TEST(RuntimeConcurrent, WorkerFanOutSeesOnlyPrefixConsistentSnapshots) {
   std::atomic<bool> started{false};
   ReaderReport rep;
   std::thread reader([&] {
-    std::vector<net::HeaderBits> batch_in(8, probe);
+    std::vector<net::HeaderBits> batch_in(kLanes * kMinLaneRows, probe);
     std::vector<MatchResult> batch_out(batch_in.size());
     std::size_t prev_k = 0;
     bool descending = false;
     while (!done.load(std::memory_order_acquire) && rep.valid) {
-      // Batches only: every call runs the worker fan-out (3 eligible
-      // shards > 1), and all 8 results must come from ONE snapshot.
+      // Batches only: every call splits over all three lanes, and every
+      // result must come from ONE snapshot.
       sc.classify_batch(batch_in, batch_out);
       const std::size_t k = check_result(batch_out[0], rep);
       for (std::size_t i = 1; i < batch_out.size() && rep.valid; ++i) {
@@ -281,7 +291,8 @@ TEST(RuntimeConcurrent, WorkerFanOutSeesOnlyPrefixConsistentSnapshots) {
   EXPECT_GT(rep.observations, 0u);
   EXPECT_EQ(sc.stats_snapshot().faults, 0u);
   // 4 lanes clamp to the 3 shards: dispatcher lane + 2 workers.
-  ASSERT_EQ(sc.stats_snapshot().workers.size(), 2u);
+  ASSERT_EQ(sc.stats_snapshot().workers.size(), kLanes - 1);
+  EXPECT_GT(worker_tasks(sc), 0u);
 }
 
 // Worker fan-out under shard QUARANTINE: every shard's engine throws on
@@ -301,7 +312,7 @@ TEST(RuntimeConcurrent, WorkerFanOutSurvivesQuarantineUnderUpdates) {
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> batches{0};
   std::thread reader([&] {
-    std::vector<net::HeaderBits> batch_in(8, probe);
+    std::vector<net::HeaderBits> batch_in(kLanes * kMinLaneRows, probe);
     std::vector<MatchResult> batch_out(batch_in.size());
     while (!done.load(std::memory_order_acquire)) {
       sc.classify_batch(batch_in, batch_out);
@@ -324,6 +335,7 @@ TEST(RuntimeConcurrent, WorkerFanOutSurvivesQuarantineUnderUpdates) {
   std::size_t quarantined = 0;
   for (const auto& h : snap.health) quarantined += h.quarantined ? 1 : 0;
   EXPECT_GT(quarantined, 0u);
+  EXPECT_GT(worker_tasks(sc), 0u);  // the faults were taken on worker lanes too
 }
 
 /// Coalescing: async submits issued back-to-back may be folded into
