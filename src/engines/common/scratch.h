@@ -1,18 +1,20 @@
-// Reusable per-call scratch for the batch classification fast paths.
+// Reusable scratch for the batch classification fast paths.
 //
-// The batch contract is zero heap traffic per PACKET: every engine's
-// classify_batch allocates (at most) once per CALL by hoisting its
-// working state into a ScratchArena that lives on the caller's stack
-// frame, then recycles it across the whole span. The arena is plain
-// data — engines use whichever members they need and leave the rest
-// empty — so one definition serves StrideBV (entry vector + stage row
-// pointers), the TCAM (entry line reuse), and the runtime's flow-cache
-// miss compaction.
+// The batch contract is no heap traffic in steady state: a
+// classify_batch hoists its working state into a ScratchArena that
+// keeps its capacity across calls (BitVector::assign_zeros and
+// vector::resize reuse the buffers), then recycles it across the whole
+// span. The arena is plain data — users take whichever members they
+// need and leave the rest empty — so one definition serves StrideBV
+// (entry vector + stage row pointers) and the runtime's flow-cache miss
+// compaction.
 //
-// Arenas are not thread-safe and not meant to outlive a call; the
-// convention "one arena per classify_batch invocation" keeps the batch
-// path re-entrant (safe under the shard workers' fan-out, where
-// several batches run concurrently on different arenas).
+// Arenas are not thread-safe. The convention is one arena per thread
+// per user: StrideBV keeps a thread_local arena (a lane calls each band
+// in turn, never two at once), and the runtime borrows one from its
+// pooled per-call scratch. That keeps the batch path re-entrant under
+// the shard workers' fan-out, where several batches run concurrently
+// on different arenas.
 #pragma once
 
 #include <cstdint>

@@ -106,16 +106,17 @@ void StrideBVEngine::classify_batch(std::span<const net::HeaderBits> headers,
     throw std::invalid_argument("classify_batch: span size mismatch");
   }
   if (headers.empty()) return;
-  // Zero-allocation inner loop: one ScratchArena per call holds the
-  // partial-match vector and the per-stage row pointers. Each header is
-  // decoded once into its stage rows, and the SIMD kernel ANDs them
-  // column-blocked, dropping a block once it is all-zero. Priority
-  // extraction is the word-scan fold (functionally identical to the
-  // staged PPE, which models hardware structure, not software speed).
+  // Zero-allocation inner loop: the calling thread's ScratchArena holds
+  // the partial-match vector and the per-stage row pointers, and keeps
+  // their capacity across calls. Each header is decoded once into its
+  // stage rows, and the SIMD kernel ANDs them column-blocked, dropping a
+  // block once it is all-zero. Priority extraction is the word-scan fold
+  // (functionally identical to the staged PPE, which models hardware
+  // structure, not software speed).
   const unsigned stages = table_.num_stages();
   const std::size_t words = util::ceil_div(entries_.size(), util::kWordBits);
   const auto& kernels = util::simd::active();
-  ScratchArena arena;
+  thread_local ScratchArena arena;
   arena.entry_bv.assign_zeros(entries_.size());
   arena.rows.resize(stages);
   std::uint64_t* dst = arena.entry_bv.words().data();

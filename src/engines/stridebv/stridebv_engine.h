@@ -43,9 +43,9 @@ class StrideBVEngine final : public ClassifierEngine {
   bool supports_update() const override { return true; }
 
   MatchResult classify(const net::HeaderBits& header) const override;
-  /// Vectorized batch path over a per-call ScratchArena (zero heap
-  /// traffic per packet): each header is decoded once into its stage
-  /// rows (StrideTable::rows_for), which the SIMD kernel ANDs
+  /// Vectorized batch path over the calling thread's ScratchArena (no
+  /// heap traffic in steady state): each header is decoded once into
+  /// its stage rows (StrideTable::rows_for), which the SIMD kernel ANDs
   /// column-blocked, dropping each block once it is all-zero.
   void classify_batch(std::span<const net::HeaderBits> headers,
                       std::span<MatchResult> results,

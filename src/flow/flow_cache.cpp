@@ -13,6 +13,27 @@ constexpr std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// The 13 key bytes as two words: bytes 0-7, and bytes 8-12 zero-extended.
+struct PackedKey {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+
+  explicit PackedKey(const net::HeaderBits& key) {
+    const auto& b = key.bytes();
+    std::memcpy(&lo, b.data(), 8);
+    std::memcpy(&hi, b.data() + 8, 5);
+  }
+  std::uint64_t hash() const { return splitmix64(lo ^ splitmix64(hi)); }
+};
+
+std::uint64_t pack_action(ruleset::Action a) {
+  return static_cast<std::uint64_t>(a.kind) | (std::uint64_t{a.port} << 8);
+}
+
+ruleset::Action unpack_action(std::uint64_t v) {
+  return {static_cast<ruleset::Action::Kind>(v & 0xff), static_cast<std::uint16_t>(v >> 8)};
+}
+
 }  // namespace
 
 FlowCache::FlowCache(std::size_t capacity) {
@@ -24,14 +45,9 @@ FlowCache::FlowCache(std::size_t capacity) {
   locks_ = std::make_unique<Segment[]>(segments_);
 }
 
-std::uint64_t FlowCache::hash(const net::HeaderBits& key) const {
-  // 13 key bytes -> two words (overlapping load keeps it branchless).
-  const auto& b = key.bytes();
-  std::uint64_t lo;
-  std::uint64_t hi;
-  std::memcpy(&lo, b.data(), 8);
-  std::memcpy(&hi, b.data() + 5, 8);
-  return splitmix64(lo ^ splitmix64(hi));
+FlowCache::Entry& FlowCache::slot(std::uint64_t h, std::size_t i) const {
+  const std::size_t base = ((h >> 32) & (segments_ - 1)) * kSegmentSlots;
+  return entries_[base + ((h + i) & (kSegmentSlots - 1))];
 }
 
 void FlowCache::invalidate() {
@@ -39,71 +55,95 @@ void FlowCache::invalidate() {
   invalidations_.fetch_add(1, std::memory_order_relaxed);
 }
 
-bool FlowCache::lookup(const net::HeaderBits& key, engines::MatchResult& out) const {
-  const std::uint64_t h = hash(key);
-  const std::size_t seg = (h >> 32) & (segments_ - 1);
-  const std::size_t base = seg * kSegmentSlots;
-  const std::uint64_t current = epoch_.load(std::memory_order_acquire);
-  std::lock_guard<std::mutex> lock(locks_[seg].mu);
+bool FlowCache::probe(const net::HeaderBits& key, std::uint64_t epoch,
+                      engines::MatchResult& out) const {
+  const PackedKey k(key);
+  const std::uint64_t h = k.hash();
   for (std::size_t i = 0; i < kProbe; ++i) {
-    Entry& e = entries_[base + ((h + i) & (kSegmentSlots - 1))];
-    if (e.epoch == current && e.key == key) {
-      e.last_used = tick_.fetch_add(1, std::memory_order_relaxed);
-      // Copy-assign reuses out's heap buffers when capacity suffices.
-      out.best = e.result.best;
-      out.action = e.result.action;
-      out.multi = e.result.multi;
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return true;
+    Entry& e = slot(h, i);
+    const std::uint32_t seq = e.seq.load(std::memory_order_acquire);
+    if ((seq & 1) != 0) continue;  // mid-insert: counts as a miss
+    if (e.key_lo.load(std::memory_order_acquire) != k.lo ||
+        e.key_hi.load(std::memory_order_acquire) != k.hi ||
+        e.epoch.load(std::memory_order_acquire) != epoch) {
+      continue;
     }
+    const std::uint64_t best = e.best.load(std::memory_order_acquire);
+    const std::uint64_t action = e.action.load(std::memory_order_acquire);
+    // The field loads are acquire, so this re-read cannot move above
+    // them; an insert that overlapped them has moved seq on.
+    if (e.seq.load(std::memory_order_acquire) != seq) continue;
+    if (e.referenced.load(std::memory_order_relaxed) == 0) {
+      e.referenced.store(1, std::memory_order_relaxed);
+    }
+    out.best = static_cast<std::size_t>(best);
+    out.action = unpack_action(action);
+    out.multi.assign_zeros(0);
+    return true;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
   return false;
+}
+
+void FlowCache::count(std::uint64_t hits, std::uint64_t misses) const {
+  if (hits != 0) hits_.fetch_add(hits, std::memory_order_relaxed);
+  if (misses != 0) misses_.fetch_add(misses, std::memory_order_relaxed);
+}
+
+bool FlowCache::lookup(const net::HeaderBits& key, engines::MatchResult& out) const {
+  const bool hit = probe(key, epoch(), out);
+  count(hit ? 1 : 0, hit ? 0 : 1);
+  return hit;
 }
 
 void FlowCache::insert(const net::HeaderBits& key, std::uint64_t epoch_seen,
                        const engines::MatchResult& result) {
-  const std::uint64_t h = hash(key);
-  const std::size_t seg = (h >> 32) & (segments_ - 1);
-  const std::size_t base = seg * kSegmentSlots;
-  std::lock_guard<std::mutex> lock(locks_[seg].mu);
+  const PackedKey k(key);
+  const std::uint64_t h = k.hash();
+  std::lock_guard<std::mutex> lock(locks_[(h >> 32) & (segments_ - 1)].mu);
   // A publication may have raced with the slow-path classification that
   // produced `result`; inserting it now could cache a decision from the
   // retired snapshot. Epochs only move forward, so comparing under the
   // segment lock is enough to reject every such straggler.
   if (epoch_seen != epoch_.load(std::memory_order_acquire)) return;
-  // Victim preference: (1) the key's own entry (refresh in place),
-  // (2) an empty or stale-epoch slot, (3) the LRU fresh entry of the
-  // window — only case (3) is a real eviction.
+  // Victim preference: (1) the key's own fresh slot (refresh in place),
+  // (2) an empty or stale-epoch slot, (3) CLOCK over the window — only
+  // case (3) is a real eviction. The segment lock orders this insert
+  // after every earlier writer of these slots, so relaxed loads suffice.
   Entry* victim = nullptr;
-  bool victim_fresh = false;
-  bool refresh = false;
-  for (std::size_t i = 0; i < kProbe; ++i) {
-    Entry& e = entries_[base + ((h + i) & (kSegmentSlots - 1))];
-    const bool fresh = e.epoch == epoch_seen;
-    if (fresh && e.key == key) {
+  Entry* open = nullptr;
+  for (std::size_t i = 0; i < kProbe && victim == nullptr; ++i) {
+    Entry& e = slot(h, i);
+    if (e.epoch.load(std::memory_order_relaxed) != epoch_seen) {
+      if (open == nullptr) open = &e;
+    } else if (e.key_lo.load(std::memory_order_relaxed) == k.lo &&
+               e.key_hi.load(std::memory_order_relaxed) == k.hi) {
       victim = &e;
-      refresh = true;
-      break;
-    }
-    if (!fresh) {
-      if (victim == nullptr || victim_fresh) {
-        victim = &e;
-        victim_fresh = false;
-      }
-    } else if (victim == nullptr ||
-               (victim_fresh && e.last_used < victim->last_used)) {
-      victim = &e;
-      victim_fresh = true;
     }
   }
-  if (victim_fresh && !refresh) evictions_.fetch_add(1, std::memory_order_relaxed);
-  victim->key = key;
-  victim->epoch = epoch_seen;
-  victim->last_used = tick_.fetch_add(1, std::memory_order_relaxed);
-  victim->result.best = result.best;
-  victim->result.action = result.action;
-  victim->result.multi = result.multi;
+  if (victim == nullptr) victim = open;
+  if (victim == nullptr) {
+    for (std::size_t i = 0; i < kProbe && victim == nullptr; ++i) {
+      Entry& e = slot(h, i);
+      if (e.referenced.load(std::memory_order_relaxed) == 0) {
+        victim = &e;
+      } else {
+        e.referenced.store(0, std::memory_order_relaxed);
+      }
+    }
+    if (victim == nullptr) victim = &slot(h, 0);
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+  }
+  // Each release store publishes the odd sequence before it, so a probe
+  // that reads any new field also reads a changed sequence.
+  const std::uint32_t seq = victim->seq.load(std::memory_order_relaxed);
+  victim->seq.store(seq + 1, std::memory_order_relaxed);
+  victim->referenced.store(0, std::memory_order_relaxed);
+  victim->key_lo.store(k.lo, std::memory_order_release);
+  victim->key_hi.store(k.hi, std::memory_order_release);
+  victim->epoch.store(epoch_seen, std::memory_order_release);
+  victim->best.store(result.best, std::memory_order_release);
+  victim->action.store(pack_action(result.action), std::memory_order_release);
+  victim->seq.store(seq + 2, std::memory_order_release);
   insertions_.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <utility>
 
 #include "engines/common/factory.h"
 #include "engines/common/scratch.h"
@@ -325,21 +326,19 @@ void ShardedClassifier::classify_batch(std::span<const net::HeaderBits> headers,
   } else {
     // Flow-cache front end: answer hits in place, compact the misses
     // into a contiguous sub-batch, and fan only that out to the shards.
+    // Entries hold no multi vector, so a caller that wants one skips
+    // the probe: its packets count as misses and refill {best, action}.
     const std::uint64_t epoch = cache_->epoch();
-    const bool multi_capable = supports_multi_match();
+    const bool probe = !(opts.want_multi && supports_multi_match());
     engines::ScratchArena& arena = scratch->arena;
     arena.headers.clear();
     arena.indices.clear();
     for (std::size_t i = 0; i < headers.size(); ++i) {
-      // A hit cached by a best-only caller has no multi vector; a
-      // multi-wanting caller must treat it as a miss (and refresh it).
-      if (cache_->lookup(headers[i], results[i]) &&
-          !(opts.want_multi && multi_capable && results[i].multi.empty())) {
-        continue;
-      }
+      if (probe && cache_->probe(headers[i], epoch, results[i])) continue;
       arena.indices.push_back(i);
       arena.headers.push_back(headers[i]);
     }
+    cache_->count(headers.size() - arena.headers.size(), arena.headers.size());
     if (!arena.headers.empty()) {
       auto snap = snapshot_.read();
       std::vector<MatchResult>& miss = scratch->miss;
@@ -348,7 +347,8 @@ void ShardedClassifier::classify_batch(std::span<const net::HeaderBits> headers,
       fan_out(*snap, arena.headers, mspan, opts, *scratch);
       for (std::size_t j = 0; j < mspan.size(); ++j) {
         cache_->insert(arena.headers[j], epoch, mspan[j]);
-        results[arena.indices[j]] = std::move(mspan[j]);
+        // Swap, not move: both multi buffers keep their capacity.
+        std::swap(results[arena.indices[j]], mspan[j]);
       }
     }
   }

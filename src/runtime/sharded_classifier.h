@@ -57,11 +57,15 @@
 // cache (flow::FlowCache) fronts the shard fan-out — packets whose
 // packed header hits the cache are answered (best and action) without
 // touching any shard, and only the misses are compacted into a
-// sub-batch for the pipeline. The cache epoch is bumped on every
-// snapshot publication (update swap or shard reinstatement), so by the
-// time an update's completion future resolves no pre-update decision
-// can still be served; see flow/flow_cache.h for the exact coherence
-// argument.
+// sub-batch for the pipeline. A batch reads the cache epoch once,
+// probes lock-free without counting, and adds its hits and misses in
+// one call. Entries hold no multi-match vector, so a multi-match
+// caller (want_multi on a multi-capable classifier) skips the probe:
+// its packets count as misses and its results refill {best, action}.
+// The cache epoch is bumped on every snapshot publication (update swap
+// or shard reinstatement), so by the time an update's completion
+// future resolves no pre-update decision can still be served; see
+// flow/flow_cache.h for the exact coherence argument.
 #pragma once
 
 #include <functional>
