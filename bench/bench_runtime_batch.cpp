@@ -99,8 +99,8 @@ int main() {
   // engine batch row above. The 4- and 8-shard rows run once on one
   // lane (core budget 1: the whole batch walked inline) and once on
   // min(4, cores) lanes (the caller plus run-to-completion shard
-  // workers fed over SPSC rings), so each pair compares lanes over the
-  // same bands.
+  // workers it offers lanes to and takes back when they have not
+  // started), so each pair compares lanes over the same bands.
   const std::size_t hw = util::hardware_core_count();
   const std::size_t wide = std::min<std::size_t>(4, hw);
   double sharded1_rate = 0;

@@ -6,7 +6,7 @@
 #   3. address,undefined — ASan+UBSan build, full ctest (includes the
 #      persist journal/recovery and resilient-client suites)
 #   4. thread          — TSan build, concurrency-sensitive tests only
-#      (SPSC ring + shard workers, RCU, sharded runtime,
+#      (shard workers, RCU, sharded runtime,
 #      concurrent update stress, fault containment, flow-cache
 #      coherence, the capture rings under concurrent rule updates, the
 #      wire codec, the classification service E2E, the durable log's
@@ -41,8 +41,8 @@ CTEST_ARGS=()
 run build-asan "address,undefined"
 
 CMAKE_ARGS=()
-CTEST_ARGS=(-R 'test_spsc_ring|test_runtime|test_rcu|test_fault_containment|test_flow_cache|test_capture|test_wire|test_server|test_persist|test_resilient_client')
-run build-tsan "thread" --target test_spsc_ring test_runtime test_rcu \
+CTEST_ARGS=(-R 'test_shard_workers|test_runtime|test_rcu|test_fault_containment|test_flow_cache|test_capture|test_wire|test_server|test_persist|test_resilient_client')
+run build-tsan "thread" --target test_shard_workers test_runtime test_rcu \
   test_runtime_concurrent test_fault_containment test_flow_cache test_capture \
   test_wire test_server test_persist test_resilient_client
 

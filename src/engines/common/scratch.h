@@ -11,10 +11,10 @@
 //
 // Arenas are not thread-safe. The convention is one arena per thread
 // per user: StrideBV keeps a thread_local arena (a lane calls each band
-// in turn, never two at once), and the runtime borrows one from its
-// pooled per-call scratch. That keeps the batch path re-entrant under
-// the shard workers' fan-out, where several batches run concurrently
-// on different arenas.
+// in turn, never two at once), and the runtime keeps one in the
+// fan-out scratch each calling thread owns. That keeps the batch path
+// re-entrant under the shard workers' fan-out, where several batches
+// run concurrently on different arenas.
 #pragma once
 
 #include <cstdint>

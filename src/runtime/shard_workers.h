@@ -1,35 +1,37 @@
 // Run-to-completion shard workers: the fastclick/DPDK execution model
 // for the sharded runtime's batch fan-out.
 //
-// The previous fan-out paid a generic thread-pool round trip per batch
-// — mutex-guarded task queue, one heap-allocated closure per shard,
-// wake, join — which on small machines cost more than the
-// classification itself and made throughput FALL as shards were added
-// (the BENCH_runtime.json inversion). This replaces it with long-lived
-// worker threads, one per extra lane of the fan-out, that each own a
-// bounded lock-free SPSC ring (util/spsc_ring.h) of plain-data work
-// descriptors:
+// A batch is split into lanes. The caller is lane 0; each further lane
+// l is offered to long-lived worker l-1 through that worker's one-slot
+// mailbox, which holds a pointer to the caller's batch record {fn, ctx,
+// lanes offered and not yet finished}:
 //
-//   dispatcher --SPSC ring--> worker 0   (runs tasks to completion)
-//              --SPSC ring--> worker 1
-//              ...
+//   caller --offer lane 1--> worker 0's mailbox
+//          --offer lane 2--> worker 1's mailbox
+//          ...
+//          runs lane 0, then takes back every offer no worker has taken
 //
-// * Descriptors are POD (function pointer + context + index): no
-//   futures, no std::function, no allocation on the hot path.
-// * A stack-owned Completion counts outstanding descriptors; once it
-//   hits zero every worker has written its share of the results and
-//   the dispatcher returns.
+// * Offer: a release compare-exchange from empty. A mailbox that still
+//   holds another caller's offer means that worker is behind, so the
+//   caller runs the lane itself at once.
+// * Take back: once lane 0 is done the caller compare-exchanges each of
+//   its offers from its own record back to empty and runs every lane
+//   that comes back, so a worker that wakes late costs the batch
+//   nothing. It waits only for the lanes workers took (by an acquire
+//   exchange). Comparing against its own record, a caller can never
+//   take another caller's offer.
+// * The record lives on the caller's stack: a worker dereferences it
+//   only after taking it out of its mailbox, run() returns only once
+//   every taken lane has finished, and after the decrement that can let
+//   the caller return a worker touches only pool members.
 // * One wait mechanism on both sides: spin kSpinRounds cpu_relax()
 //   rounds (covers the next batch arriving back-to-back), then block —
-//   an idle worker on its lane's condvar until the next doorbell, the
-//   dispatcher on a shared completion condvar. Neither side re-checks
-//   on a timer, so an idle pool costs no CPU.
+//   an idle worker on its condvar until the next doorbell, a caller on
+//   a shared completion condvar. Neither side re-checks on a timer, so
+//   an idle pool costs no CPU.
 //
-// SPSC discipline: each ring has exactly one consumer (its worker).
-// The producer side is serialized by a per-worker dispatch mutex so
-// several threads may call dispatch() concurrently (the classifier's
-// public contract); with a single dispatcher — the rfipcd reactor, the
-// benches — that mutex is uncontended and stays in L1.
+// Any number of threads may call run() at once (the classifier's public
+// contract), and no call allocates.
 #pragma once
 
 #include <atomic>
@@ -41,97 +43,62 @@
 #include <thread>
 #include <vector>
 
-#include "util/spsc_ring.h"
-
 namespace rfipc::runtime {
 
 class ShardWorkerPool {
  public:
-  /// Descriptor slots per worker ring. A batch hands each worker one
-  /// descriptor (its slice) at most, so a full ring means the worker is
-  /// a whole ring of batches behind.
-  static constexpr std::size_t kRingCapacity = 64;
-
-  struct Options {
-    std::size_t workers = 0;
-  };
-
-  /// A batch descriptor: run fn(ctx, index) on the worker thread.
-  using TaskFn = void (*)(void* ctx, std::size_t index);
-
-  /// Stack-owned per-batch completion tracker. One dispatcher arms it
-  /// via dispatch(), then blocks in wait(); it must outlive the wait.
-  class Completion {
-   public:
-    bool done() const { return remaining_.load(std::memory_order_acquire) == 0; }
-
-   private:
-    friend class ShardWorkerPool;
-    std::atomic<std::size_t> remaining_{0};
-  };
+  /// One lane of a batch: fn(ctx, lane), on a worker or on the caller.
+  using TaskFn = void (*)(void* ctx, std::size_t lane);
 
   /// Per-worker observability counters (StatsSnapshot::workers).
   struct WorkerCounters {
-    std::uint64_t tasks = 0;        // descriptors run to completion
-    std::uint64_t ring_stalls = 0;  // dispatch retries against a full ring
-    std::uint64_t parks = 0;        // times the worker went to sleep
-    std::size_t ring_depth = 0;     // descriptors queued right now
+    std::uint64_t tasks = 0;  // lanes run to completion
+    std::uint64_t parks = 0;  // times the worker went to sleep
   };
 
-  explicit ShardWorkerPool(Options opts);
-  /// Waits for in-flight descriptors (every armed Completion must have
-  /// been wait()ed first), then joins the workers.
+  explicit ShardWorkerPool(std::size_t workers);
+  /// Joins the workers; every run() must have returned.
   ~ShardWorkerPool();
 
   ShardWorkerPool(const ShardWorkerPool&) = delete;
   ShardWorkerPool& operator=(const ShardWorkerPool&) = delete;
 
-  std::size_t worker_count() const { return workers_.size(); }
+  std::size_t worker_count() const { return threads_.size(); }
 
-  /// Hands fn(ctx, index) to worker w and arms `done`. Spins (counting
-  /// a ring stall) when w's ring is momentarily full — the ring bounds
-  /// memory, not admission; backpressure belongs to the caller's batch
-  /// sizing. `ctx` must stay valid until wait(done) returns.
-  void dispatch(std::size_t w, TaskFn fn, void* ctx, std::size_t index,
-                Completion& done);
-
-  /// Spins, then blocks, until every descriptor armed on `done` has
-  /// run. Runs no shard work itself: the dispatcher's own share of the
-  /// batch should be executed between dispatch() and wait().
-  void wait(Completion& done);
+  /// Runs fn(ctx, l) exactly once for every lane l < lanes, where
+  /// 1 <= lanes <= worker_count() + 1, and returns once all have run.
+  /// Lane 0 and every lane no worker takes in time run on the caller.
+  void run(TaskFn fn, void* ctx, std::size_t lanes);
 
   std::vector<WorkerCounters> counters() const;
 
  private:
-  struct Task {
-    TaskFn fn = nullptr;
-    void* ctx = nullptr;
-    std::size_t index = 0;
-    Completion* done = nullptr;
+  /// One run() call's record, on the caller's stack.
+  struct Batch {
+    TaskFn fn;
+    void* ctx;
+    /// Lanes neither finished by a worker nor run by the caller.
+    std::atomic<std::size_t> pending;
   };
 
-  /// One worker's channel. Ring indices are the SPSC synchronization;
-  /// the mutex/condvar pair only implements parking.
-  struct Lane {
-    util::SpscRing<Task> ring{kRingCapacity};
-    std::mutex dispatch_mu;  // serializes concurrent producers
+  struct Worker {
+    std::atomic<Batch*> mailbox{nullptr};  // one offer at most
     std::mutex park_mu;
     std::condition_variable park_cv;
     bool parked = false;  // guarded by park_mu
     std::atomic<std::uint64_t> tasks{0};
-    std::atomic<std::uint64_t> ring_stalls{0};
     std::atomic<std::uint64_t> parks{0};
   };
 
-  void worker_loop(Lane& lane);
-  void complete(Completion& done);
+  void worker_loop(Worker& w, std::size_t lane);
+  void finish(Batch& batch);
 
-  std::vector<std::unique_ptr<Lane>> lanes_;
+  std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<bool> stop_{false};
-  /// Completion doorbell shared by all dispatchers.
+  /// Completion doorbell shared by all callers.
   std::mutex done_mu_;
   std::condition_variable done_cv_;
-  std::vector<std::thread> workers_;  // last: threads see members above
+  std::vector<std::thread> threads_;  // last: threads see members above
 };
 
 }  // namespace rfipc::runtime

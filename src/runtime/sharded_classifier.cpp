@@ -35,13 +35,10 @@ std::size_t effective_shards(const ShardedConfig& cfg, std::size_t rules) {
 
 /// One core budget → one worker crew: the fan-out runs
 /// min(shards, core_budget - reserved_cores) lanes, never below one,
-/// with the dispatching caller as lane 0 — so the crew holds lanes - 1
+/// with the calling thread as lane 0 — so the crew holds lanes - 1
 /// threads and a 1-core box walks every batch inline.
-ShardWorkerPool::Options worker_options(const ShardedConfig& cfg,
-                                        std::size_t shards) {
-  const std::size_t lanes =
-      util::parallel_lanes(shards, cfg.core_budget, cfg.reserved_cores);
-  return ShardWorkerPool::Options{.workers = lanes - 1};
+std::size_t worker_threads(const ShardedConfig& cfg, std::size_t shards) {
+  return util::parallel_lanes(shards, cfg.core_budget, cfg.reserved_cores) - 1;
 }
 
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
@@ -55,7 +52,7 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
 ShardedClassifier::ShardedClassifier(ruleset::RuleSet rules, ShardedConfig config)
     : config_(std::move(config)),
       stats_(effective_shards(config_, rules.size())),
-      workers_(worker_options(config_, effective_shards(config_, rules.size()))) {
+      workers_(worker_threads(config_, effective_shards(config_, rules.size()))) {
   if (rules.empty()) throw std::invalid_argument("ShardedClassifier: empty ruleset");
   if (config_.failure.quarantine_after == 0) config_.failure.quarantine_after = 1;
   if (config_.flow_cache_capacity > 0) {
@@ -283,11 +280,11 @@ void ShardedClassifier::fan_out(const ShardSet& snap,
   }
 
   // One contiguous slice of at least kMinLaneRows packets per lane.
-  // Lane 0 is the dispatching caller itself: it hands lanes 1..L-1
-  // their descriptors first, walks its own slice inline, then waits —
-  // run-to-completion, no per-task futures, no hand-off at all when
-  // only one lane runs. The caller's RCU pin (held across this call)
-  // keeps `snap` and the shard engines alive for the workers.
+  // Lane 0 is the calling thread itself: it offers lanes 1..L-1 to the
+  // workers, walks its own slice, then walks every slice no worker has
+  // started — run-to-completion, no per-task futures, no hand-off at all
+  // when only one lane runs. The caller's RCU pin (held across this
+  // call) keeps `snap` and the shard engines alive for the workers.
   const std::size_t lanes = std::min(workers_.worker_count() + 1,
                                      std::max<std::size_t>(headers.size() / kMinLaneRows, 1));
   if (scratch.lanes.size() < lanes) scratch.lanes.resize(lanes);
@@ -298,12 +295,7 @@ void ShardedClassifier::fan_out(const ShardSet& snap,
                  .opts = opts,
                  .scratch = &scratch,
                  .lanes = lanes};
-  ShardWorkerPool::Completion done;
-  for (std::size_t lane = 1; lane < lanes; ++lane) {
-    workers_.dispatch(lane - 1, &ShardedClassifier::walk_slice_entry, &ctx, lane, done);
-  }
-  walk_slice(ctx, 0);
-  workers_.wait(done);
+  workers_.run(&ShardedClassifier::walk_slice_entry, &ctx, lanes);
 }
 
 void ShardedClassifier::classify_batch(std::span<const net::HeaderBits> headers,
@@ -315,14 +307,17 @@ void ShardedClassifier::classify_batch(std::span<const net::HeaderBits> headers,
   if (headers.empty()) return;
 
   // All per-batch state (eligible set, per-lane buffers, miss
-  // compaction) lives in one pooled scratch: zero allocation per batch
-  // in steady state, re-entrant because each in-flight call borrows
-  // its own entry.
-  std::unique_ptr<FanScratch> scratch = borrow_scratch();
+  // compaction) lives in one scratch per calling thread that keeps its
+  // capacity: zero allocation per batch in steady state. One per thread
+  // is enough because a thread never has two batches in flight: no
+  // shard engine calls back into a ShardedClassifier (the factory has
+  // no sharded spec), and the workers are done with a batch's lanes
+  // once fan_out() returns.
+  thread_local FanScratch scratch;
 
   if (cache_ == nullptr) {
     auto snap = snapshot_.read();
-    fan_out(*snap, headers, results, opts, *scratch);
+    fan_out(*snap, headers, results, opts, scratch);
   } else {
     // Flow-cache front end: answer hits in place, compact the misses
     // into a contiguous sub-batch, and fan only that out to the shards.
@@ -330,7 +325,7 @@ void ShardedClassifier::classify_batch(std::span<const net::HeaderBits> headers,
     // the probe: its packets count as misses and refill {best, action}.
     const std::uint64_t epoch = cache_->epoch();
     const bool probe = !(opts.want_multi && supports_multi_match());
-    engines::ScratchArena& arena = scratch->arena;
+    engines::ScratchArena& arena = scratch.arena;
     arena.headers.clear();
     arena.indices.clear();
     for (std::size_t i = 0; i < headers.size(); ++i) {
@@ -341,10 +336,10 @@ void ShardedClassifier::classify_batch(std::span<const net::HeaderBits> headers,
     cache_->count(headers.size() - arena.headers.size(), arena.headers.size());
     if (!arena.headers.empty()) {
       auto snap = snapshot_.read();
-      std::vector<MatchResult>& miss = scratch->miss;
+      std::vector<MatchResult>& miss = scratch.miss;
       if (miss.size() < arena.headers.size()) miss.resize(arena.headers.size());
       const std::span<MatchResult> mspan(miss.data(), arena.headers.size());
-      fan_out(*snap, arena.headers, mspan, opts, *scratch);
+      fan_out(*snap, arena.headers, mspan, opts, scratch);
       for (std::size_t j = 0; j < mspan.size(); ++j) {
         cache_->insert(arena.headers[j], epoch, mspan[j]);
         // Swap, not move: both multi buffers keep their capacity.
@@ -352,31 +347,12 @@ void ShardedClassifier::classify_batch(std::span<const net::HeaderBits> headers,
       }
     }
   }
-  return_scratch(std::move(scratch));
 
   std::uint64_t matched = 0;
   for (const MatchResult& r : results) {
     if (r.has_match()) ++matched;
   }
   stats_.record_batch(headers.size(), matched);
-}
-
-std::unique_ptr<ShardedClassifier::FanScratch> ShardedClassifier::borrow_scratch()
-    const {
-  {
-    std::lock_guard<std::mutex> lock(scratch_mu_);
-    if (!scratch_pool_.empty()) {
-      std::unique_ptr<FanScratch> s = std::move(scratch_pool_.back());
-      scratch_pool_.pop_back();
-      return s;
-    }
-  }
-  return std::make_unique<FanScratch>();
-}
-
-void ShardedClassifier::return_scratch(std::unique_ptr<FanScratch> scratch) const {
-  std::lock_guard<std::mutex> lock(scratch_mu_);
-  scratch_pool_.push_back(std::move(scratch));
 }
 
 std::size_t ShardedClassifier::owning_shard(const std::vector<std::size_t>& bases,
@@ -647,12 +623,7 @@ StatsSnapshot ShardedClassifier::stats_snapshot() const {
     out.memory_bytes += shard.engine->memory_bytes();
   }
   for (const ShardWorkerPool::WorkerCounters& c : workers_.counters()) {
-    WorkerDigest w;
-    w.tasks = c.tasks;
-    w.ring_stalls = c.ring_stalls;
-    w.parks = c.parks;
-    w.ring_depth = c.ring_depth;
-    out.workers.push_back(w);
+    out.workers.push_back({.tasks = c.tasks, .parks = c.parks});
   }
   return out;
 }

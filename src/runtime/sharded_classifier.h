@@ -6,17 +6,18 @@
 // becomes an independent shard engine (any spec the factory accepts, so
 // a shard is "one pipeline" of whichever architecture you pick). A
 // batch of packed headers is split into contiguous slices, one per
-// lane — the dispatching caller is lane 0, long-lived run-to-completion
-// shard workers fed over bounded SPSC rings (runtime/shard_workers.h)
-// are the rest — and each lane walks every band in priority order over
-// its own slice, writing straight into its slice of the results with
-// band-local indices rebased to global ones. A best-only walk hands
-// each band only the packets no higher band matched; a multi-match
-// walk visits every band and ORs in its rebased bits. This is how the
-// paper scales StrideBV (Sections IV-A and V-A): more packets against a
-// full copy of the rules. Lane count derives from one core budget
-// (core_budget/reserved_cores below); a budget of one core walks the
-// whole batch inline with no hand-off at all.
+// lane, and each lane walks every band in priority order over its own
+// slice, writing straight into its slice of the results with band-local
+// indices rebased to global ones. The calling thread is lane 0; each
+// further lane is offered to a long-lived run-to-completion shard worker
+// (runtime/shard_workers.h), and the caller walks it itself if that
+// worker has not started it by the time lane 0 is done. A best-only
+// walk hands each band only the packets no higher band matched; a
+// multi-match walk visits every band and ORs in its rebased bits. This
+// is how the paper scales StrideBV (Sections IV-A and V-A): more packets
+// against a full copy of the rules. Lane count derives from one core
+// budget (core_budget/reserved_cores below); a budget of one core walks
+// the whole batch inline with no hand-off at all.
 //
 // Concurrency contract (lock-free reads, RCU writes): classify() and
 // classify_batch() may be called from any number of threads at any
@@ -127,9 +128,9 @@ struct ShardedConfig {
   /// Total cores this process may spend; 0 = hardware_concurrency().
   /// The fan-out runs min(shards, core_budget - reserved_cores) lanes,
   /// never fewer than one, each walking every band over its own slice
-  /// of the batch: the dispatching caller is lane 0 and each further
-  /// lane is a run-to-completion shard worker, so a budget of one core
-  /// classifies fully inline with no worker threads at all.
+  /// of the batch: the calling thread is lane 0 and each further lane
+  /// is offered to a run-to-completion shard worker, so a budget of one
+  /// core classifies fully inline with no worker threads at all.
   std::size_t core_budget = 0;
   /// Cores already spoken for by co-resident threads (epoll reactor,
   /// update waiter, capture threads, ...). rfipcd passes
@@ -259,8 +260,8 @@ class ShardedClassifier final : public engines::ClassifierEngine {
     std::vector<engines::MatchResult> band;
   };
 
-  /// Dispatcher-side per-batch state, pooled via borrow_scratch() so
-  /// the fan-out allocates nothing in steady state.
+  /// Caller-side per-batch state, one per calling thread (see
+  /// classify_batch), so the fan-out allocates nothing in steady state.
   struct FanScratch {
     std::vector<std::size_t> eligible;
     std::vector<LaneScratch> lanes;  // indexed by lane
@@ -271,8 +272,8 @@ class ShardedClassifier final : public engines::ClassifierEngine {
   };
 
   /// What a lane needs to walk its slice of one batch: plain data,
-  /// stack-owned by the dispatcher for the batch's duration (the
-  /// dispatcher's RCU pin keeps `snap` alive).
+  /// stack-owned by the caller for the batch's duration (the caller's
+  /// RCU pin keeps `snap` alive).
   struct FanContext {
     const ShardedClassifier* self = nullptr;
     const ShardSet* snap = nullptr;
@@ -307,8 +308,6 @@ class ShardedClassifier final : public engines::ClassifierEngine {
   void walk_slice(const FanContext& ctx, std::size_t lane) const;
   /// ShardWorkerPool task trampoline: ctx is a FanContext.
   static void walk_slice_entry(void* ctx, std::size_t lane);
-  std::unique_ptr<FanScratch> borrow_scratch() const;
-  void return_scratch(std::unique_ptr<FanScratch> scratch) const;
   bool validate_results(std::span<const engines::MatchResult> results,
                         std::size_t shard_rules) const;
   void record_shard_fault(const Shard& shard, std::uint64_t packets) const;
@@ -325,14 +324,10 @@ class ShardedClassifier final : public engines::ClassifierEngine {
 
   ShardedConfig config_;
   mutable RuntimeStats stats_;
-  /// Long-lived run-to-completion shard workers fed over SPSC rings;
-  /// holds `lanes - 1` threads (the dispatching caller is lane 0), so
-  /// it is empty when the core budget only affords one lane.
+  /// Long-lived run-to-completion shard workers, one per lane after
+  /// lane 0 (the calling thread), so it is empty when the core budget
+  /// only affords one lane.
   mutable ShardWorkerPool workers_;
-  /// Free list of pooled dispatcher scratch; one entry is borrowed per
-  /// in-flight classify_batch and returned with capacity intact.
-  mutable std::mutex scratch_mu_;
-  mutable std::vector<std::unique_ptr<FanScratch>> scratch_pool_;
   /// Exact-match front end; null when flow_cache_capacity == 0.
   std::unique_ptr<flow::FlowCache> cache_;
   util::RcuCell<ShardSet> snapshot_;

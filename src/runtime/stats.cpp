@@ -182,8 +182,7 @@ std::string StatsSnapshot::to_json() const {
     if (w > 0) out += ",";
     out += "{\"tasks\":" + u(workers[w].tasks) +
            ",\"ring_stalls\":" + u(workers[w].ring_stalls) +
-           ",\"parks\":" + u(workers[w].parks) +
-           ",\"ring_depth\":" + u(workers[w].ring_depth) + "}";
+           ",\"parks\":" + u(workers[w].parks) + "}";
   }
   out += "]}";
   return out;
@@ -244,9 +243,7 @@ std::string StatsSnapshot::to_string() const {
   }
   for (std::size_t w = 0; w < workers.size(); ++w) {
     out += " worker" + std::to_string(w) + "{tasks=" + std::to_string(workers[w].tasks) +
-           " stalls=" + std::to_string(workers[w].ring_stalls) +
-           " parks=" + std::to_string(workers[w].parks) +
-           " depth=" + std::to_string(workers[w].ring_depth) + "}";
+           " parks=" + std::to_string(workers[w].parks) + "}";
   }
   return out;
 }

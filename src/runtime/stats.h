@@ -57,10 +57,12 @@ struct ShardHealthDigest {
 /// the ShardedClassifier from its ShardWorkerPool; empty when the core
 /// budget allows only one lane).
 struct WorkerDigest {
-  std::uint64_t tasks = 0;        // slice walks executed
-  std::uint64_t ring_stalls = 0;  // dispatches that found the ring full
-  std::uint64_t parks = 0;        // idle sleeps
-  std::size_t ring_depth = 0;     // descriptors queued at snapshot time
+  std::uint64_t tasks = 0;  // slice walks executed
+  /// Always 0: workers take lanes from one-slot mailboxes, with no ring
+  /// to stall on. Kept, with its "ring_stalls" JSON key, only because
+  /// perfbench/inproc.cpp and perfbench/daemon.cpp still read it.
+  std::uint64_t ring_stalls = 0;
+  std::uint64_t parks = 0;  // idle sleeps
 };
 
 /// Counters the service layer (src/server/) folds into a snapshot so

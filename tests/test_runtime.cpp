@@ -7,6 +7,7 @@
 // count what actually happened.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <vector>
 
 #include "engines/common/factory.h"
@@ -217,7 +218,7 @@ TEST(ShardedClassifier, ShardsExceedingCoreBudgetStayCorrect) {
   const std::size_t sizes[] = {1, kMinLaneRows - 1, kMinLaneRows, kMinLaneRows + 1,
                                63, 200, 1000};
   // Core budgets: a 1-core box (fully inline), a 2-core box
-  // (dispatcher + 1 worker), and lane counts below and above the shard
+  // (caller + 1 worker), and lane counts below and above the shard
   // count (16 clamps to one lane per shard).
   for (const std::size_t budget : {1u, 2u, 3u, 16u}) {
     for (const std::size_t shards : {2u, 4u, 9u}) {
@@ -261,20 +262,26 @@ TEST(ShardedClassifier, WorkerDigestsAppearInStats) {
   const auto rules = ruleset::generate_firewall(64, 41);
   ShardedConfig cfg;
   cfg.shards = 4;
-  cfg.core_budget = 3;  // dispatcher lane + 2 workers
+  cfg.core_budget = 3;  // caller lane + 2 workers
   const ShardedClassifier sc(rules, cfg);
   const auto headers = packed_trace(rules, 256, 42);
   std::vector<MatchResult> out(headers.size());
-  for (int i = 0; i < 8; ++i) sc.classify_batch(headers, out);
-
-  const auto snap = sc.stats_snapshot();
-  ASSERT_EQ(snap.workers.size(), 2u);
+  // 256 packets split over 3 lanes, lanes 1 and 2 offered to the
+  // workers. The caller takes back every lane no worker has started by
+  // the time its own is done, which on one busy CPU can be every lane
+  // for a while: keep classifying until a worker has taken one.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  StatsSnapshot snap;
   std::uint64_t worker_tasks = 0;
-  for (const auto& w : snap.workers) {
-    worker_tasks += w.tasks;
-    EXPECT_EQ(w.ring_depth, 0u);  // drained between batches
+  for (int i = 0; i < 8 || (worker_tasks == 0 && std::chrono::steady_clock::now() < deadline);
+       ++i) {
+    sc.classify_batch(headers, out);
+    snap = sc.stats_snapshot();
+    worker_tasks = 0;
+    for (const auto& w : snap.workers) worker_tasks += w.tasks;
   }
-  // 256 packets split over 3 lanes: lanes 1 and 2 walk their slices.
+
+  ASSERT_EQ(snap.workers.size(), 2u);
   EXPECT_GT(worker_tasks, 0u);
   EXPECT_NE(snap.to_json().find("\"workers\""), std::string::npos);
   EXPECT_NE(snap.to_string().find("worker0"), std::string::npos);

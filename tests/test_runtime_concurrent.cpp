@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -222,7 +223,7 @@ TEST(RuntimeConcurrent, MultipleProducersSerializeThroughTheQueue) {
 }
 
 // Worker lanes these tests force: a core budget of 4 over 3 shards buys
-// 3 lanes (dispatcher + 2 workers) even on a 1-core CI box.
+// 3 lanes (caller + 2 workers) even on a 1-core CI box.
 constexpr std::size_t kLanes = 3;
 
 std::uint64_t worker_tasks(const ShardedClassifier& sc) {
@@ -231,29 +232,44 @@ std::uint64_t worker_tasks(const ShardedClassifier& sc) {
   return tasks;
 }
 
+// The caller takes back every lane no worker has started by the time
+// its own is done, which on one busy CPU can be every lane for a while.
+// A reader told to stop keeps classifying until a worker has taken a
+// lane or this long has passed.
+constexpr auto kWorkerGrace = std::chrono::seconds(5);
+
+/// Whether a reader told to stop (`done`) may: a worker has taken a
+/// lane, or the grace period from `deadline` is over.
+bool reader_may_stop(const ShardedClassifier& sc, const std::atomic<bool>& done,
+                     const std::chrono::steady_clock::time_point& deadline) {
+  if (!done.load(std::memory_order_acquire)) return false;
+  return worker_tasks(sc) > 0 || std::chrono::steady_clock::now() >= deadline;
+}
+
 // The same prefix-consistency invariant, but with the fan-out FORCED
 // through the run-to-completion workers: batches of kLanes *
 // kMinLaneRows packets give every lane a slice, so it exercises the
-// SPSC hand-off. Under TSan this is the dispatcher/worker/RCU
-// interleaving stress: workers read the snapshot the dispatcher pinned
+// mailbox hand-off. Under TSan this is the caller/worker/RCU
+// interleaving stress: workers read the snapshot the caller pinned
 // while the writer publishes new ones.
 TEST(RuntimeConcurrent, WorkerFanOutSeesOnlyPrefixConsistentSnapshots) {
   ShardedConfig cfg;
   cfg.shards = 3;
-  cfg.core_budget = 4;  // dispatcher lane + 3 ring-fed workers
+  cfg.core_budget = 4;  // 3 lanes over 3 shards: caller + 2 workers
   cfg.engine_spec = "linear";
   ShardedClassifier sc(base_rules(), cfg);
 
   const net::HeaderBits probe(probe_tuple());
   std::atomic<bool> done{false};
   std::atomic<bool> started{false};
+  std::chrono::steady_clock::time_point deadline;  // set before `done`
   ReaderReport rep;
   std::thread reader([&] {
     std::vector<net::HeaderBits> batch_in(kLanes * kMinLaneRows, probe);
     std::vector<MatchResult> batch_out(batch_in.size());
     std::size_t prev_k = 0;
     bool descending = false;
-    while (!done.load(std::memory_order_acquire) && rep.valid) {
+    while (!reader_may_stop(sc, done, deadline) && rep.valid) {
       // Batches only: every call splits over all three lanes, and every
       // result must come from ONE snapshot.
       sc.classify_batch(batch_in, batch_out);
@@ -284,13 +300,14 @@ TEST(RuntimeConcurrent, WorkerFanOutSeesOnlyPrefixConsistentSnapshots) {
   for (std::size_t v = kVersions; v > 0; --v) {
     ASSERT_TRUE(sc.erase_rule(kBase + v - 1));
   }
+  deadline = std::chrono::steady_clock::now() + kWorkerGrace;
   done.store(true, std::memory_order_release);
   reader.join();
 
   EXPECT_TRUE(rep.valid) << rep.error;
   EXPECT_GT(rep.observations, 0u);
   EXPECT_EQ(sc.stats_snapshot().faults, 0u);
-  // 4 lanes clamp to the 3 shards: dispatcher lane + 2 workers.
+  // 4 lanes clamp to the 3 shards: caller lane + 2 workers.
   ASSERT_EQ(sc.stats_snapshot().workers.size(), kLanes - 1);
   EXPECT_GT(worker_tasks(sc), 0u);
 }
@@ -310,11 +327,12 @@ TEST(RuntimeConcurrent, WorkerFanOutSurvivesQuarantineUnderUpdates) {
 
   const net::HeaderBits probe(probe_tuple());
   std::atomic<bool> done{false};
+  std::chrono::steady_clock::time_point deadline;  // set before `done`
   std::atomic<std::uint64_t> batches{0};
   std::thread reader([&] {
     std::vector<net::HeaderBits> batch_in(kLanes * kMinLaneRows, probe);
     std::vector<MatchResult> batch_out(batch_in.size());
-    while (!done.load(std::memory_order_acquire)) {
+    while (!reader_may_stop(sc, done, deadline)) {
       sc.classify_batch(batch_in, batch_out);
       // Every shard faults, so nothing can ever match.
       for (const auto& r : batch_out) ASSERT_FALSE(r.has_match());
@@ -327,6 +345,7 @@ TEST(RuntimeConcurrent, WorkerFanOutSurvivesQuarantineUnderUpdates) {
   }
   // Let the reader run against the fully quarantined state for a while.
   while (batches.load(std::memory_order_relaxed) < 64) std::this_thread::yield();
+  deadline = std::chrono::steady_clock::now() + kWorkerGrace;
   done.store(true, std::memory_order_release);
   reader.join();
 
