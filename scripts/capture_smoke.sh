@@ -15,9 +15,11 @@
 #      verdicts, only their distribution).
 #   3. Non-Ethernet link types (LINKTYPE_RAW, LINKTYPE_NULL) replay
 #      through the same path, golden-checked.
-#   4. rfipcd --capture pcap:... serves RPC while consuming the capture:
-#      STATS carries the "capture" block with every replayed frame
-#      accounted for.
+#   4. rfipcd --capture pcap:... --flow-cache N serves RPC while
+#      consuming the capture: STATS carries the "capture" block with
+#      every replayed frame accounted for, its forwarded and dropped
+#      totals equal twice the golden counts of step 2 (two passes, the
+#      second answered from the flow cache), and the cache has hits.
 #   5. capture_gateway --iface exercises the AF_PACKET ring. Without
 #      CAP_NET_RAW the gateway exits 3 and the leg prints [SKIP] — the
 #      smoke stays green on unprivileged runners.
@@ -56,6 +58,10 @@ out2="$(run_gateway 2)"
 echo "${out1}"
 grep -q 'MATCH$' <<<"${out1}" \
   || { echo "capture_smoke: golden verdicts diverged from the reference" >&2; exit 1; }
+# One pass's reference verdicts, for the rfipcd leg below: capture_gateway,
+# rfipcd and trace_tool all turn --rules N into generate_firewall(N, 7).
+golden_fwd="$(sed -n 's/^golden: forwarded=\([0-9]*\) .*/\1/p' <<<"${out1}")"
+golden_drop="$(sed -n 's/^golden: .* dropped=\([0-9]*\) .*/\1/p' <<<"${out1}")"
 [[ "${out1}" == "${out2}" ]] \
   || { echo "capture_smoke: two replays of one capture disagreed" >&2; exit 1; }
 # Batch counts legitimately differ with ring count; the verdict totals
@@ -85,7 +91,7 @@ echo "== capture_smoke: rfipcd --capture serves RPC + capture stats =="
 port_file="${workdir}/rfipcd.port"
 log="${workdir}/rfipcd.log"
 rm -f "${port_file}"
-"${BUILD_DIR}/examples/rfipcd" --rules "${RULES}" --shards 2 \
+"${BUILD_DIR}/examples/rfipcd" --rules "${RULES}" --shards 2 --flow-cache 4096 \
   --capture "pcap:${workdir}/a.pcap" --capture-loops 2 \
   --port-file "${port_file}" > "${log}" 2>&1 &
 DAEMON=$!
@@ -100,12 +106,17 @@ PORT="$(cat "${port_file}")"
 CLIENT="${BUILD_DIR}/examples/rfipc_client"
 "${CLIENT}" --port "${PORT}" ping | grep -q PONG
 # The finite replay (2 passes) drains quickly; poll STATS until every
-# frame is accounted for.
+# frame has its verdict (a frame is counted before it is classified).
 want=$((PACKETS * 2))
 stats=""
+capture_total() {  # counter -> its total in the STATS capture block, 0 if absent
+  local v
+  v="$(sed -n "s/.*\"capture\":{[^[]*\"$1\":\([0-9]*\).*/\1/p" <<<"${stats}")"
+  echo "${v:-0}"
+}
 for _ in $(seq 1 100); do
   stats="$("${CLIENT}" --port "${PORT}" stats)"
-  grep -q "\"capture\":{\"enabled\":true,\"frames\":${want}," <<<"${stats}" && break
+  (( $(capture_total forwarded) + $(capture_total dropped) == want )) && break
   sleep 0.1
 done
 grep -q '"capture":{"enabled":true' <<<"${stats}" \
@@ -114,7 +125,17 @@ grep -q '"capture":{"enabled":true' <<<"${stats}" \
 grep -q "\"frames\":${want}," <<<"${stats}" \
   || { echo "capture_smoke: capture counters never reached ${want} frames" >&2
        echo "${stats}" >&2; exit 1; }
-echo "capture_smoke: STATS carries capture{frames=${want}} while serving RPC"
+want_fwd=$((golden_fwd * 2))
+want_drop=$((golden_drop * 2))
+[[ "$(capture_total forwarded)" -eq "${want_fwd}" && "$(capture_total dropped)" -eq "${want_drop}" ]] \
+  || { echo "capture_smoke: rfipcd verdicts differ from 2 x the golden counts" \
+            "(want forwarded=${want_fwd} dropped=${want_drop})" >&2
+       echo "${stats}" >&2; exit 1; }
+grep -Eq '"cache":\{"hits":[1-9]' <<<"${stats}" \
+  || { echo "capture_smoke: the flow cache answered no frame" >&2
+       echo "${stats}" >&2; exit 1; }
+echo "capture_smoke: STATS carries capture{frames=${want} forwarded=${want_fwd}" \
+     "dropped=${want_drop}} (2 x golden, flow cache on) while serving RPC"
 kill -TERM "${DAEMON}"
 wait "${DAEMON}" && rc=0 || rc=$?
 trap - EXIT

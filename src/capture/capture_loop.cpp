@@ -1,6 +1,23 @@
 #include "capture/capture_loop.h"
 
+#include <algorithm>
+
 namespace rfipc::capture {
+
+namespace {
+
+/// Byte 45 is the last of the L4 ports in a double-tagged Ethernet frame
+/// (14 + 8 + 20 + 4 = 46 bytes); frames with IP options read further.
+constexpr std::uint32_t kLastHeaderByte = 45;
+
+/// Prefetches the frame's first line and, if the frame reaches it, the
+/// line holding kLastHeaderByte (no pointer past the frame is formed).
+void prefetch_headers(const FrameView& frame) {
+  __builtin_prefetch(frame.data);
+  if (frame.len > kLastHeaderByte) __builtin_prefetch(frame.data + kLastHeaderByte);
+}
+
+}  // namespace
 
 CaptureLoop::CaptureLoop(CaptureSource& source,
                          const runtime::ShardedClassifier& classifier)
@@ -23,11 +40,19 @@ std::size_t CaptureLoop::step(std::size_t ring, RingScratch& scratch) {
   c.batches.fetch_add(1, std::memory_order_relaxed);
 
   // Parse, compacting failures out of the engine batch (an inline
-  // classifier drops what it cannot decode).
+  // classifier drops what it cannot decode). The frames are cold, so
+  // frame i + kPrefetchFrames's header lines are fetched while frame i
+  // is parsed.
   const std::uint32_t link_type = source_.link_type();
   scratch.headers.clear();
   std::uint64_t parse_failures = 0;
+  for (std::size_t i = 0; i < std::min(n, kPrefetchFrames); ++i) {
+    prefetch_headers(scratch.views[i]);
+  }
   for (std::size_t i = 0; i < n; ++i) {
+    if (i + kPrefetchFrames < n) {
+      prefetch_headers(scratch.views[i + kPrefetchFrames]);
+    }
     const net::ParsedPacket p =
         net::parse_frame(scratch.views[i].bytes(), link_type);
     if (p.ok()) {

@@ -13,6 +13,13 @@
 // through runtime::CaptureCounters, which the daemon folds into
 // StatsSnapshot for the STATS wire op.
 //
+// Frames arrive cold: a live ring hands out TPACKET blocks the kernel
+// wrote, and a replay pool can be larger than L2. So after priming a
+// batch's first kPrefetchFrames frames, the loop prefetches frame
+// i + kPrefetchFrames's header lines while it parses frame i: the
+// first line, and the line holding byte 45 (where a double-tagged
+// frame's L4 ports end) when the frame is that long.
+//
 // Verdict semantics:
 //   * a frame that parses and whose winning rule forwards: forwarded;
 //   * a frame that parses and matches a drop rule or nothing: dropped —
@@ -48,6 +55,9 @@ namespace rfipc::capture {
 
 /// Frames classified per batch (and per next_batch pull).
 inline constexpr std::size_t kBatchFrames = 256;
+/// How many frames ahead of the one being parsed the loop prefetches
+/// header lines (EXPERIMENTS.md, "frame prefetch", has the sweep).
+inline constexpr std::size_t kPrefetchFrames = 8;
 
 class CaptureLoop {
  public:

@@ -168,30 +168,58 @@ TEST(PcapReplaySource, EmptyCaptureIsExhaustedImmediately) {
 }
 
 TEST(CaptureLoop, CountersMatchReferenceVerdicts) {
+  // Two classifiers: make_engine's uncached single shard, and four
+  // shards behind the flow cache replaying four passes, so later passes
+  // are answered from the cache. Two captures per link type: 300
+  // frames, and fewer frames than the loop prefetches ahead, so every
+  // batch ends before the prefetch distance does.
   const auto rules = make_rules();
-  const auto engine = make_engine(rules);
-  for (const std::uint32_t link : {net::kLinktypeEthernet, net::kLinktypeRaw,
-                                   net::kLinktypeNull}) {
-    const auto file = make_capture(rules, 300, link, /*junk_every=*/11);
-    const auto ref = reference_verdicts(file, rules);
-    ASSERT_GT(ref.parse_failures, 0u);
+  const auto uncached = make_engine(rules);
+  runtime::ShardedConfig cached_cfg;
+  cached_cfg.shards = 4;
+  cached_cfg.core_budget = 4;
+  cached_cfg.flow_cache_capacity = 1024;
+  const runtime::ShardedClassifier cached(rules, cached_cfg);
+  struct Engine {
+    const runtime::ShardedClassifier& classifier;
+    std::uint64_t loops;
+  };
+  struct Capture {
+    std::size_t frames;
+    std::size_t junk_every;
+  };
+  for (const Engine& engine : {Engine{uncached, 1}, Engine{cached, 4}}) {
+    for (const std::uint32_t link : {net::kLinktypeEthernet, net::kLinktypeRaw,
+                                     net::kLinktypeNull}) {
+      for (const Capture& c : {Capture{300, 11},
+                               Capture{capture::kPrefetchFrames - 1, 3}}) {
+        SCOPED_TRACE(testing::Message() << "link " << link << ", " << c.frames
+                                        << " frames, " << engine.loops << " loops");
+        const auto file = make_capture(rules, c.frames, link, c.junk_every);
+        const auto ref = reference_verdicts(file, rules);
+        ASSERT_GT(ref.parse_failures, 0u);
 
-    capture::PcapReplayConfig cfg;
-    cfg.rings = 3;
-    capture::PcapReplaySource src(file, cfg);
-    capture::CaptureLoop loop(src, engine);
-    EXPECT_EQ(loop.run(), 300u);
+        capture::PcapReplayConfig cfg;
+        cfg.rings = 3;
+        cfg.loops = engine.loops;
+        capture::PcapReplaySource src(file, cfg);
+        capture::CaptureLoop loop(src, engine.classifier);
+        const std::uint64_t frames = engine.loops * c.frames;
+        EXPECT_EQ(loop.run(), frames);
 
-    const runtime::CaptureRing total = loop.counters().total();
-    EXPECT_EQ(total.frames, 300u) << "link " << link;
-    EXPECT_EQ(total.parse_failures, ref.parse_failures) << "link " << link;
-    EXPECT_EQ(total.forwarded, ref.forwarded) << "link " << link;
-    EXPECT_EQ(total.dropped, ref.dropped) << "link " << link;
-    // Parse failures count as drops too: forwards and drops partition
-    // the frames.
-    EXPECT_EQ(total.frames, total.forwarded + total.dropped) << "link " << link;
-    EXPECT_EQ(total.overruns, 0u);
+        const runtime::CaptureRing total = loop.counters().total();
+        EXPECT_EQ(total.frames, frames);
+        EXPECT_EQ(total.parse_failures, engine.loops * ref.parse_failures);
+        EXPECT_EQ(total.forwarded, engine.loops * ref.forwarded);
+        EXPECT_EQ(total.dropped, engine.loops * ref.dropped);
+        // Parse failures count as drops too: forwards and drops
+        // partition the frames.
+        EXPECT_EQ(total.frames, total.forwarded + total.dropped);
+        EXPECT_EQ(total.overruns, 0u);
+      }
+    }
   }
+  EXPECT_GT(cached.flow_cache()->stats().hits, 0u);
 }
 
 TEST(CaptureLoop, ReplayIsDeterministic) {
